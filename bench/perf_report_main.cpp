@@ -44,7 +44,9 @@
 ///       {"name": "incremental_reassign", "config": "paper"|"wide_manycore",
 ///        "nodes": N, "ns_per_full_eval": ..., "ns_per_reassign": ...,
 ///        "speedup_vs_full_eval": ...,     // one probe vs one full sweep
-///        "hybrid_decision": "incremental"|"suffix_sweep"|"mixed",
+///        "hybrid_decision":               // the path >= 90% of probes
+///            "incremental"|"suffix_sweep"|"mixed", // took under the
+///                                         // deterministic count rule
 ///        "incremental_probes": ..., "fallback_probes": ...,
 ///        "avg_replayed_incremental": ..., // positions/probe, each path
 ///        "avg_swept_fallback": ...},      // counted separately

@@ -17,6 +17,10 @@
 #   4. No naked std::thread::detach() — a detached thread outlives the
 #      state it touches; everything joins (ThreadPool, MappingService,
 #      test helpers).
+#   5. No clock reads in the pricing layers (src/sched, src/sp, src/graph,
+#      src/model) — a makespan, and the route the incremental evaluator
+#      takes to price it, must be a function of the inputs, never of wall
+#      time. Timing belongs to the mappers' deadlines, serve and bench.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -58,6 +62,12 @@ report "raw std::mutex family outside src/util/mutex.hpp (use spmap::Mutex/Mutex
 matches=$(grep -rn --include='*.hpp' --include='*.cpp' \
   -e '\.detach()' src/ tools/ bench/ || true)
 report "std::thread::detach() is banned (join everything; detached threads outlive the state they touch)" "$matches"
+
+# Rule 5: pricing and routing never read a clock.
+matches=$(grep -rn --include='*.hpp' --include='*.cpp' \
+  -e 'std::chrono::[a-z_]*_clock' -e 'util/timer\.hpp' \
+  src/sched/ src/sp/ src/graph/ src/model/ || true)
+report "clock reads are banned in src/sched, src/sp, src/graph and src/model (pricing and probe routing must not depend on wall time)" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

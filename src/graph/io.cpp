@@ -54,7 +54,10 @@ std::string to_json(const Dag& dag, const TaskAttrs& attrs) {
 }
 
 TaskGraph task_graph_from_json(const std::string& text) {
-  const Json doc = Json::parse(text);
+  return task_graph_from_json(Json::parse(text));
+}
+
+TaskGraph task_graph_from_json(const Json& doc) {
   TaskGraph tg;
   const auto& nodes = doc.at("nodes").as_array();
   tg.attrs.resize(nodes.size());

@@ -11,6 +11,8 @@
 
 namespace spmap {
 
+class Json;
+
 /// A task graph bundled with its model attributes.
 struct TaskGraph {
   Dag dag;
@@ -27,5 +29,9 @@ std::string to_json(const Dag& dag, const TaskAttrs& attrs);
 /// Parses the format produced by to_json(). Throws spmap::Error on schema
 /// violations (missing keys, ids out of range, cycles).
 TaskGraph task_graph_from_json(const std::string& text);
+
+/// The same, from an already-parsed document (e.g. a graph embedded in a
+/// wire request), without a dump/parse round trip.
+TaskGraph task_graph_from_json(const Json& doc);
 
 }  // namespace spmap

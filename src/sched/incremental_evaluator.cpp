@@ -1,7 +1,6 @@
 #include "sched/incremental_evaluator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -926,94 +925,19 @@ double IncrementalEvaluator::fallback_suffix_sweep(std::size_t p0,
   return run_max;
 }
 
-std::size_t IncrementalEvaluator::replay_window_bound(std::uint32_t node,
-                                                      std::uint32_t from,
-                                                      std::uint32_t to) const {
-  std::size_t last = last_consumer_pos_[node];
-  // Scan the committed use counters from the back: the last block in which
-  // either endpoint device occupies a slot or touches a link extends the
-  // window, and blocks wholly inside the consumer window cannot.
-  for (std::size_t b = blocks_; b-- > 0;) {
-    if (b * kStride + (kStride - 1) <= last) break;
-    const std::uint32_t* su = &block_slot_uses_[b * m_];
-    const std::uint32_t* lu = &block_link_uses_[b * m_];
-    if ((su[from] | su[to] | lu[from] | lu[to]) != 0) {
-      last = std::max(last, b * kStride + (kStride - 1));
-      break;
-    }
-  }
-  return std::min(last, n_ == 0 ? std::size_t(0) : n_ - 1);
-}
-
-bool IncrementalEvaluator::choose_fallback(std::size_t p0, std::uint32_t node,
-                                           std::uint32_t from,
-                                           std::uint32_t to) {
+bool IncrementalEvaluator::choose_fallback() {
   switch (probe_mode_) {
     case ProbeMode::kForceIncremental: return false;
     case ProbeMode::kForceFallback: return true;
     case ProbeMode::kAuto: break;
   }
-  // Warmup: alternate the paths until both estimates have real footing.
-  if (inc_cost_samples_ < kWarmupSamples ||
-      fb_cost_samples_ < kWarmupSamples) {
-    return inc_cost_samples_ > fb_cost_samples_;
-  }
-  // Compare fb_ns_sum_/fb_sfx_sum_ against inc_ns_sum_/inc_sfx_sum_
-  // cross-multiplied (suffix sums are >= 1, so no division), with 10%
-  // hysteresis in favor of the incumbent path: near-equal costs would
-  // otherwise flip the route on every estimate wiggle and pay both paths'
-  // worst-case noise.
-  const double fb_cost = fb_ns_sum_ * inc_sfx_sum_;
-  const double inc_cost = inc_ns_sum_ * fb_sfx_sum_;
-  const bool sweep_wins = prefer_fallback_ ? fb_cost < 1.1 * inc_cost
-                                           : 1.1 * fb_cost < inc_cost;
-  prefer_fallback_ = sweep_wins;
-  // Periodic resample of the losing path so its EMA tracks drift across
-  // applies and resets.
-  if (++probes_since_resample_ >= kResampleEvery) {
-    probes_since_resample_ = 0;
-    return !sweep_wins;
-  }
-  if (!sweep_wins) return false;
-  // Sweep regime. A move whose devices go idle right after its farthest
-  // consumer is still provably cheap — keep it incremental (this reads only
-  // the use counters, before any checkpoint state is rebuilt).
-  const std::size_t suffix = n_ - p0;
-  const std::size_t bound = replay_window_bound(node, from, to);
-  return (bound - p0 + 1) * 4 > suffix;
-}
-
-void IncrementalEvaluator::note_probe_cost(bool fallback, std::size_t suffix,
-                                           double ns) {
-  const double sfx = static_cast<double>(std::max<std::size_t>(1, suffix));
-  // Winsorize: a scheduler preemption or host steal spike landing inside
-  // one probe would otherwise outweigh thousands of honest samples and
-  // poison the path's estimate for a whole decay window. 1 µs per suffix
-  // position is ~20x any real per-position cost, so genuine samples pass
-  // untouched.
-  ns = std::min(ns, sfx * 1000.0);
-  // Exponential forgetting on the aggregates, clocked per path by its own
-  // sample count: old regimes fade, but a single probe never moves an
-  // estimate by more than its own weight.
-  if (fallback) {
-    fb_ns_sum_ += ns;
-    fb_sfx_sum_ += sfx;
-    ++fb_cost_samples_;
-    if (++fb_notes_since_decay_ >= kCostDecayEvery) {
-      fb_notes_since_decay_ = 0;
-      fb_ns_sum_ *= 0.5;
-      fb_sfx_sum_ *= 0.5;
-    }
-  } else {
-    inc_ns_sum_ += ns;
-    inc_sfx_sum_ += sfx;
-    ++inc_cost_samples_;
-    if (++inc_notes_since_decay_ >= kCostDecayEvery) {
-      inc_notes_since_decay_ = 0;
-      inc_ns_sum_ *= 0.5;
-      inc_sfx_sum_ *= 0.5;
-    }
-  }
+  // The sweep costs one unit per suffix position, so it wins exactly when
+  // the incremental path's recent units exceed their suffix lengths.
+  if (inc_units_sum_ <= inc_suffix_sum_) return false;
+  // Periodic incremental resample so the estimate follows the mapping.
+  if (++probes_since_resample_ < kResampleEvery) return true;
+  probes_since_resample_ = 0;
+  return false;
 }
 
 double IncrementalEvaluator::probe(TaskReassignment move) {
@@ -1053,14 +977,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   }
   double run_max = p0 == 0 ? 0.0 : prefix_max_[p0 - 1];
 
-  // Auto mode measures each routed probe's wall time to keep the per-path
-  // cost EMAs live; the two clock reads cost ~40 ns against probes that run
-  // microseconds. Results are unaffected — only routing reads the EMAs.
-  const bool timed = probe_mode_ == ProbeMode::kAuto;
-  std::chrono::steady_clock::time_point t0;
-  if (timed) t0 = std::chrono::steady_clock::now();
-
-  if (choose_fallback(p0, move.node.v, old_dev, move.device.v)) {
+  if (choose_fallback()) {
     // Suffix-sweep path: resume from the nearest committed checkpoint and
     // re-simulate the suffix with the plain sweep — no skip machinery, no
     // base state, no use counters. ~(n - p0) sweep positions total.
@@ -1072,12 +989,6 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     fb_swept_total_ += suffix;
     last_replayed_ = suffix;
     last_recomputed_ = suffix;
-    if (timed) {
-      note_probe_cost(true, suffix,
-                      std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-    }
     mapping_.device[move.node.v] = DeviceId(old_dev);
     return over == 0 ? run_max : kInfeasible;
   }
@@ -1089,6 +1000,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   limit_ = last_consumer_pos_[moved_];
 
   const Evaluator::WalkPlan& plan = *plan_;
+  std::size_t swept = 0;  // positions finished by the dense-cascade sweep
   std::size_t p = p0;
   for (; p < n_; ++p) {
     if (can_stop(p)) break;
@@ -1099,6 +1011,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     // the switch comes earlier.
     if ((last_replayed_ >= 256 || (n_ <= 512 && last_replayed_ >= 64)) &&
         last_recomputed_ + (last_replayed_ >> 3) >= last_replayed_) {
+      swept = n_ - p;
       run_max = plain_suffix_sweep(p, run_max);
       p = n_;
       break;
@@ -1120,13 +1033,16 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     run_max = folded;
   }
 
-  if (timed) {
-    note_probe_cost(false, n_ - p0,
-                    std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-  }
   inc_replayed_total_ += last_replayed_;
+  // Price the probe for the auto-mode rule (in every mode: the sums are
+  // cheap and only kAuto reads them); halve both every kCostDecayEvery.
+  inc_units_sum_ += kReplayCostUnits * (last_replayed_ - swept) + swept;
+  inc_suffix_sum_ += n_ - p0;
+  if (++inc_notes_since_decay_ >= kCostDecayEvery) {
+    inc_notes_since_decay_ = 0;
+    inc_units_sum_ >>= 1;
+    inc_suffix_sum_ >>= 1;
+  }
 
   // Roll back the scratch marks; the committed state was never touched.
   for (const std::uint32_t v : dirty_list_) timing_dirty_[v] = 0;

@@ -60,21 +60,23 @@
 ///    random move — strictly cheaper than full re-evaluation, with no
 ///    delta bookkeeping to lose to.
 ///
-/// In `ProbeMode::kAuto` (the default) the engine measures both paths
-/// online: every probe's wall time, normalized per suffix position, feeds a
-/// per-path EMA (replay density — how much of the suffix the incremental
-/// path actually visits — is what drives the difference, and is exposed via
-/// the split replay counters), and each probe takes the path whose EMA
-/// predicts the lower cost. Three refinements keep the decision honest: a
-/// short warmup samples both paths before trusting the EMAs, a probe whose
-/// affected set is provably confined near the move (per-device
-/// remaining-use counters show the move's devices idle afterwards and the
-/// farthest consumer is close) stays incremental regardless of the EMAs,
-/// and every kResampleEvery-th probe re-runs the currently-losing path so
-/// the EMAs track drift across applies and resets. Both paths return
-/// bit-identical values (tests/property_incremental_test.cpp forces each
-/// and compares), so the mode only affects speed, never results. `apply()`
-/// always runs incrementally — it must maintain the committed records.
+/// In `ProbeMode::kAuto` (the default) the route is a pure function of the
+/// probe stream — counts the engine produces anyway, never wall time — so
+/// the same moves take the same route on every run and every machine. Each
+/// incremental-path probe is priced in *sweep-position units*: one unit per
+/// position finished by the in-path dense-cascade sweep, and
+/// R = kReplayCostUnits = 2 per position replayed with skip detection (a
+/// swept position measures ~22-63 ns, a replayed one ~2-2.5x that; R above
+/// ~2.5 already sends most dependency-bound probes to the slower sweep).
+/// The suffix-sweep path costs one unit per suffix position by
+/// construction. Decaying sums of (units, suffix length) over the
+/// incremental probes compare the two: a probe takes the suffix sweep while
+/// Σunits > Σsuffix. While the sweep wins, every kResampleEvery-th probe
+/// still runs incrementally so the estimate follows the mapping as the
+/// search moves it. Both paths return bit-identical values
+/// (tests/property_incremental_test.cpp forces each and compares), so the
+/// mode only affects speed, never results. `apply()` always runs
+/// incrementally — it must maintain the committed records.
 ///
 /// ## Thread-safety
 ///
@@ -111,7 +113,7 @@ inline TaskReassignment random_reassignment(const Mapping& mapping,
 
 /// How probe() picks between its two exact evaluation paths.
 enum class ProbeMode {
-  kAuto,              ///< online per-path cost EMAs decide (default)
+  kAuto,              ///< deterministic position-count rule (default)
   kForceIncremental,  ///< always skip-detecting suffix replay
   kForceFallback,     ///< always checkpoint-resume + plain suffix sweep
 };
@@ -197,9 +199,9 @@ class IncrementalEvaluator {
   std::size_t incremental_probe_count() const { return inc_probes_; }
   /// Non-no-op probes routed through the suffix-sweep path (lifetime total).
   std::size_t fallback_probe_count() const { return fb_probes_; }
-  /// Positions visited by incremental-path probes only — the replay-density
-  /// numerator the hybrid decides on (fallback sweeps excluded, so density
-  /// is not diluted by exactly the probes that bypassed it).
+  /// Positions visited by incremental-path probes only (fallback sweeps
+  /// excluded, so the replay density is not diluted by exactly the probes
+  /// that bypassed it).
   std::size_t incremental_replayed_total() const { return inc_replayed_total_; }
   /// Positions re-simulated by suffix-sweep-path probes.
   std::size_t fallback_swept_total() const { return fb_swept_total_; }
@@ -211,24 +213,11 @@ class IncrementalEvaluator {
   /// state at an arbitrary position is the nearest checkpoint plus a replay
   /// of at most kStride position records.
   static constexpr std::size_t kStride = 64;
-  /// Auto-mode hybrid tuning. Position counts alone cannot rank the two
-  /// paths — the cost of one replayed position versus one swept position
-  /// varies severalfold with slot-span width and cascade density — so the
-  /// router measures wall time per path. A warmup alternates the two paths
-  /// until each has kWarmupSamples timed probes — committing on fewer
-  /// samples of the heavily bimodal per-probe cost routinely anoints the
-  /// wrong path, and a wrong incumbent is expensive to dethrone because
-  /// challenger evidence accrues at the resample rate. After warmup each
-  /// probe takes the cheaper path and the losing path is re-run every
-  /// kResampleEvery routed probes so its estimate tracks drift. Estimates are decaying aggregate sums, each
-  /// path halved every kCostDecayEvery of its *own* samples so both
-  /// estimates always rest on ~1-2x that many samples no matter how rarely
-  /// the loser runs: per-probe cost is heavily bimodal (a move that heals
-  /// instantly versus one that cascades to the end), so an estimate
-  /// resting on a handful of sparse resamples would swing on single
-  /// outliers and flip the route. The window-bound test keeps provably
-  /// local moves on the incremental path regardless of the estimates.
-  static constexpr std::size_t kWarmupSamples = 32;
+  /// Auto-mode routing constants (see "The hybrid probe" above). A
+  /// replayed position costs kReplayCostUnits swept positions; the sums are
+  /// halved every kCostDecayEvery incremental probes so old regimes fade;
+  /// while the sweep wins, every kResampleEvery-th probe runs incrementally.
+  static constexpr std::size_t kReplayCostUnits = 2;
   static constexpr std::size_t kResampleEvery = 64;
   static constexpr std::size_t kCostDecayEvery = 64;
 
@@ -302,19 +291,8 @@ class IncrementalEvaluator {
   /// suffix-sweep path needs no base state and no seen-use counters, so
   /// this is the slim sibling of reconstruct_state().
   void reconstruct_cur_state(std::size_t p0);
-  /// Auto-mode routing for one probe of `node` (old device `from`, new
-  /// device `to`, walk position `p0`): true to take the suffix-sweep path.
-  bool choose_fallback(std::size_t p0, std::uint32_t node, std::uint32_t from,
-                       std::uint32_t to);
-  /// Heuristic last position the move can plausibly influence, from the
-  /// committed per-device use counters (checked before any checkpoint is
-  /// touched): the farthest consumer of `node`, extended to the last block
-  /// in which either endpoint device occupies a slot or link. Routing-only —
-  /// a timing cascade may outrun it, which both paths price exactly.
-  std::size_t replay_window_bound(std::uint32_t node, std::uint32_t from,
-                                  std::uint32_t to) const;
-  /// Folds one timed probe into the taken path's cost EMA (auto mode only).
-  void note_probe_cost(bool fallback, std::size_t suffix, double ns);
+  /// Auto-mode routing for one probe: true to take the suffix-sweep path.
+  bool choose_fallback();
   /// Effective (overlay-aware) times during a probe.
   double eff_start(std::uint32_t node) const {
     return probe_tag_[node] == probe_epoch_ ? probe_start_[node]
@@ -400,22 +378,12 @@ class IncrementalEvaluator {
 
   // ---- hybrid probe state ----
   ProbeMode probe_mode_ = ProbeMode::kAuto;
-  /// Per-path measured cost, kept as decaying sums of wall-ns and of suffix
-  /// length: the router compares the ratios ns_sum/suffix_sum
-  /// (cross-multiplied), an average-cost-per-position estimate over the
-  /// recent probe stream. A ratio of sums, not an average of per-probe
-  /// ratios — per-probe ns/suffix samples spike as 1/suffix for
-  /// late-position moves (fixed costs divided by a tiny suffix).
-  double inc_ns_sum_ = 0.0;
-  double inc_sfx_sum_ = 0.0;
-  double fb_ns_sum_ = 0.0;
-  double fb_sfx_sum_ = 0.0;
-  std::size_t inc_cost_samples_ = 0;  // auto-mode samples folded in
-  std::size_t fb_cost_samples_ = 0;
+  /// Decaying sums over incremental-path probes: cost in sweep-position
+  /// units, and suffix length (the suffix sweep's cost for the same probes).
+  std::size_t inc_units_sum_ = 0;
+  std::size_t inc_suffix_sum_ = 0;
   std::size_t inc_notes_since_decay_ = 0;
-  std::size_t fb_notes_since_decay_ = 0;
   std::size_t probes_since_resample_ = 0;
-  bool prefer_fallback_ = false;  // incumbent path (hysteresis anchor)
   bool last_probe_fallback_ = false;
   std::size_t inc_probes_ = 0;
   std::size_t fb_probes_ = 0;

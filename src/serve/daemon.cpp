@@ -426,7 +426,7 @@ std::shared_ptr<const TaskGraph> Daemon::resolve_graph(
     const WireSubmit& request) {
   if (request.graph.has_value()) {
     return std::make_shared<const TaskGraph>(
-        task_graph_from_json(request.graph->dump()));
+        task_graph_from_json(*request.graph));
   }
   return std::make_shared<const TaskGraph>(
       graph_from_generate_spec(*request.generate));

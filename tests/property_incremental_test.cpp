@@ -7,10 +7,12 @@
 /// one apply or undo followed by the three-way comparison).
 ///
 /// The grid spans both the paper platform and the wide manycore platform,
-/// and every hybrid probe mode: kAuto (online routing), kForceIncremental
-/// and kForceFallback. Agreement in the forced modes proves each probe path
-/// is bit-identical on its own, not just whichever one the router happens
-/// to pick.
+/// and every hybrid probe mode: kAuto (the deterministic position-count
+/// rule), kForceIncremental and kForceFallback. Agreement in the forced
+/// modes proves each probe path is bit-identical on its own, not just
+/// whichever one the rule happens to pick. The routing tests at the end pin
+/// the rule itself: the same probe stream takes the same route on every
+/// engine, and the auto-mode grid exercises both paths on each platform.
 
 #include <gtest/gtest.h>
 
@@ -32,19 +34,67 @@ struct IncCase {
   ProbeMode mode = ProbeMode::kAuto;
 };
 
-class IncrementalProperty : public ::testing::TestWithParam<IncCase> {
- protected:
-  IncrementalProperty()
-      : rng_(GetParam().seed),
-        platform_(GetParam().wide ? manycore_platform()
-                                  : reference_platform()) {
-    Dag base = generate_sp_dag(GetParam().nodes, rng_);
-    dag_ = add_random_edges(base, GetParam().extra_edges, rng_);
+/// One grid case's problem: graph, model and the evaluators under test.
+struct Problem {
+  explicit Problem(const IncCase& c)
+      : rng_(c.seed),
+        platform_(c.wide ? manycore_platform() : reference_platform()) {
+    Dag base = generate_sp_dag(c.nodes, rng_);
+    dag_ = add_random_edges(base, c.extra_edges, rng_);
     attrs_ = random_task_attrs(dag_, rng_);
     cost_.emplace(dag_, attrs_, platform_);
     eval_.emplace(*cost_);  // one (breadth-first) order: the bound order
     ref_.emplace(*cost_);
   }
+
+  Rng rng_;
+  Platform platform_;
+  Dag dag_;
+  TaskAttrs attrs_;
+  std::optional<CostModel> cost_;
+  std::optional<Evaluator> eval_;
+  std::optional<ReferenceEvaluator> ref_;
+};
+
+/// The route a fresh kAuto engine takes over a seeded probe/apply/undo
+/// stream: one flag per probe (true = suffix sweep), then the four path
+/// counters.
+struct RouteTrace {
+  std::vector<bool> fallback;
+  std::size_t incremental_probes = 0;
+  std::size_t fallback_probes = 0;
+  std::size_t replayed = 0;
+  std::size_t swept = 0;
+};
+
+RouteTrace trace_routes(const Evaluator& eval, const Mapping& start,
+                        std::size_t steps, std::uint64_t seed) {
+  IncrementalEvaluator inc(eval);
+  inc.reset(start);
+  const std::size_t devices = eval.cost().platform().device_count();
+  Rng rng(seed);
+  RouteTrace trace;
+  for (std::size_t i = 0; i < steps; ++i) {
+    if (inc.depth() > 0 && rng.chance(0.2)) {
+      inc.undo();
+    } else if (rng.chance(0.3)) {
+      inc.apply(random_reassignment(inc.mapping(), devices, rng));
+    } else {
+      inc.probe(random_reassignment(inc.mapping(), devices, rng));
+      trace.fallback.push_back(inc.last_probe_fallback());
+    }
+  }
+  trace.incremental_probes = inc.incremental_probe_count();
+  trace.fallback_probes = inc.fallback_probe_count();
+  trace.replayed = inc.incremental_replayed_total();
+  trace.swept = inc.fallback_swept_total();
+  return trace;
+}
+
+class IncrementalProperty : public ::testing::TestWithParam<IncCase>,
+                            protected Problem {
+ protected:
+  IncrementalProperty() : Problem(GetParam()) {}
 
   /// The three-way agreement that must hold after every state change.
   void expect_agreement(const IncrementalEvaluator& inc,
@@ -66,14 +116,6 @@ class IncrementalProperty : public ::testing::TestWithParam<IncCase> {
     EXPECT_EQ(inc.makespan(), eval_->evaluate(expected_mapping));
     EXPECT_EQ(inc.feasible(), cost_->area_feasible(expected_mapping));
   }
-
-  Rng rng_;
-  Platform platform_;
-  Dag dag_;
-  TaskAttrs attrs_;
-  std::optional<CostModel> cost_;
-  std::optional<Evaluator> eval_;
-  std::optional<ReferenceEvaluator> ref_;
 };
 
 TEST_P(IncrementalProperty, RandomWalkAgreesAfterEveryApplyAndUndo) {
@@ -161,28 +203,64 @@ TEST_P(IncrementalProperty, CommitKeepsStateAndClearsHistory) {
 constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
 constexpr ProbeMode kFb = ProbeMode::kForceFallback;
 
+const IncCase kGrid[] = {
+    // Paper platform, auto routing (the production configuration).
+    IncCase{2, 0, 30, 41}, IncCase{8, 0, 60, 42}, IncCase{8, 4, 60, 43},
+    IncCase{25, 0, 80, 44}, IncCase{25, 12, 80, 45},
+    IncCase{60, 0, 120, 46}, IncCase{60, 30, 120, 47},
+    IncCase{120, 60, 160, 48}, IncCase{250, 50, 200, 49},
+    IncCase{500, 0, 220, 50},
+    // Wide manycore platform, auto routing.
+    IncCase{25, 12, 80, 51, true}, IncCase{60, 30, 120, 52, true},
+    IncCase{250, 50, 200, 53, true}, IncCase{500, 0, 220, 54, true},
+    // Forced modes: each probe path must be exact on its own, on both
+    // platforms, dense and sparse graphs alike.
+    IncCase{60, 30, 120, 55, false, kFb},
+    IncCase{120, 60, 160, 56, false, kFb},
+    IncCase{500, 0, 220, 57, false, kFb},
+    IncCase{120, 60, 160, 58, false, kInc},
+    IncCase{60, 30, 120, 59, true, kFb},
+    IncCase{250, 50, 200, 60, true, kFb},
+    IncCase{250, 50, 200, 61, true, kInc},
+    IncCase{500, 0, 220, 62, true, kInc}};
+
+TEST_P(IncrementalProperty, AutoRoutingIsDeterministic) {
+  // Two fresh engines on one Evaluator, one seeded stream: the route is a
+  // function of the moves alone, never of timing.
+  const Mapping start = random_feasible_mapping(*cost_, rng_);
+  const RouteTrace first = trace_routes(*eval_, start, 4 * GetParam().moves,
+                                        GetParam().seed);
+  const RouteTrace second = trace_routes(*eval_, start, 4 * GetParam().moves,
+                                         GetParam().seed);
+  EXPECT_EQ(first.fallback, second.fallback);
+  EXPECT_EQ(first.incremental_probes, second.incremental_probes);
+  EXPECT_EQ(first.fallback_probes, second.fallback_probes);
+  EXPECT_EQ(first.replayed, second.replayed);
+  EXPECT_EQ(first.swept, second.swept);
+}
+
+TEST(IncrementalRouting, AutoGridTakesBothPathsOnEachPlatform) {
+  // The auto rows of the grid must keep covering both exact paths, or the
+  // RandomWalk agreement there would silently test only one of them.
+  std::size_t incremental[2] = {0, 0};
+  std::size_t fallback[2] = {0, 0};
+  for (const IncCase& c : kGrid) {
+    if (c.mode != ProbeMode::kAuto) continue;
+    Problem p(c);
+    const Mapping start = random_feasible_mapping(*p.cost_, p.rng_);
+    const RouteTrace trace = trace_routes(*p.eval_, start, 4 * c.moves, c.seed);
+    incremental[c.wide] += trace.incremental_probes;
+    fallback[c.wide] += trace.fallback_probes;
+  }
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide manycore platform" : "paper platform");
+    EXPECT_GT(incremental[wide], 0u);
+    EXPECT_GT(fallback[wide], 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Grid, IncrementalProperty,
-    ::testing::Values(
-        // Paper platform, auto routing (the production configuration).
-        IncCase{2, 0, 30, 41}, IncCase{8, 0, 60, 42}, IncCase{8, 4, 60, 43},
-        IncCase{25, 0, 80, 44}, IncCase{25, 12, 80, 45},
-        IncCase{60, 0, 120, 46}, IncCase{60, 30, 120, 47},
-        IncCase{120, 60, 160, 48}, IncCase{250, 50, 200, 49},
-        IncCase{500, 0, 220, 50},
-        // Wide manycore platform, auto routing.
-        IncCase{25, 12, 80, 51, true}, IncCase{60, 30, 120, 52, true},
-        IncCase{250, 50, 200, 53, true}, IncCase{500, 0, 220, 54, true},
-        // Forced modes: each probe path must be exact on its own, on both
-        // platforms, dense and sparse graphs alike.
-        IncCase{60, 30, 120, 55, false, kFb},
-        IncCase{120, 60, 160, 56, false, kFb},
-        IncCase{500, 0, 220, 57, false, kFb},
-        IncCase{120, 60, 160, 58, false, kInc},
-        IncCase{60, 30, 120, 59, true, kFb},
-        IncCase{250, 50, 200, 60, true, kFb},
-        IncCase{250, 50, 200, 61, true, kInc},
-        IncCase{500, 0, 220, 62, true, kInc}),
+    Grid, IncrementalProperty, ::testing::ValuesIn(kGrid),
     [](const ::testing::TestParamInfo<IncCase>& info) {
       const char* mode = info.param.mode == kInc  ? "_finc"
                          : info.param.mode == kFb ? "_ffb"

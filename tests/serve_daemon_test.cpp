@@ -14,7 +14,9 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "graph/io.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/journal.hpp"
@@ -102,6 +104,37 @@ TEST(ServeDaemon, SubmitSubscribeDoneRoundTrip) {
   EXPECT_EQ(status->at("state").as_string(), "done");
   EXPECT_DOUBLE_EQ(status->at("makespan").as_double(),
                    done->at("makespan").as_double());
+}
+
+TEST(ServeDaemon, InlineGraphMatchesItsGenerateSpec) {
+  // An inline graph is parsed straight from the request's Json value; it
+  // must map exactly like the same graph sent as a generate spec. The
+  // cache is off so both submits run the mapper.
+  DaemonFixture fixture({.workers = 1, .cache_entries = 0});
+  WireClient client(fixture.daemon->endpoint());
+  const Json by_spec = submit_frame(40, 3);
+  const TaskGraph tg = graph_from_generate_spec(by_spec.at("generate"));
+  Json by_graph = Json::object();
+  by_graph.set("op", Json("submit"));
+  by_graph.set("mapper", Json("spff"));
+  by_graph.set("graph", Json::parse(to_json(tg.dag, tg.attrs)));
+
+  std::vector<Json> results;
+  for (Json frame : {by_spec, by_graph}) {
+    frame.set("subscribe", Json(true));
+    frame.set("return_mapping", Json(true));
+    client.send(frame);
+    const auto accepted = client.recv(10000.0);
+    ASSERT_TRUE(accepted.has_value());
+    ASSERT_TRUE(accepted->at("ok").as_bool()) << accepted->dump();
+    const auto done = client.recv_event("done", 30000.0);
+    ASSERT_TRUE(done.has_value());
+    ASSERT_EQ(done->at("state").as_string(), "done") << done->dump();
+    results.push_back(*done);
+  }
+  EXPECT_EQ(results[0].at("makespan").as_double(),
+            results[1].at("makespan").as_double());
+  EXPECT_EQ(results[0].at("mapping").dump(), results[1].at("mapping").dump());
 }
 
 TEST(ServeDaemon, SubscribeAfterTerminalReplaysDone) {
