@@ -8,9 +8,9 @@
 /// an optional *sweep* axis, a *mapper line-up* (MapperRegistry spec
 /// strings) and the repetition/reporting protocol of the paper's Section
 /// IV-A — so an experiment is a committed file instead of a C++ driver.
-/// `spmap_cli sweep` and the ported `bench_fig*` binaries both run through
-/// this layer; see docs/FORMATS.md for the full schema reference and
-/// `scenarios/` for the shipped paper experiments.
+/// `spmap_cli sweep` runs it; see docs/FORMATS.md for the full schema
+/// reference and `scenarios/` for the paper's figures, tables and
+/// ablations, one file each.
 ///
 /// Schema sketch (`"schema": "spmap-scenario/1"`):
 ///   {

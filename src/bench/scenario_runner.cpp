@@ -1,7 +1,6 @@
 #include "bench/scenario_runner.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "serve/mapping_service.hpp"
@@ -265,20 +264,6 @@ void print_sweep_tables(const Json& results, std::ostream& os) {
        1.0, 4);
   emit("mapper execution time [ms] (mean over repetitions)",
        "mapper_seconds_mean", 1e3, 3);
-}
-
-Json run_report_write(const Scenario& scenario,
-                      const SweepRunOptions& options,
-                      const std::string& out_path, std::ostream& os) {
-  const Json results = run_scenario(scenario, options);
-  print_sweep_tables(results, os);
-  if (!out_path.empty()) {
-    std::ofstream file(out_path);
-    require(file.good(), "cannot open output file: " + out_path);
-    file << results.dump(2) << '\n';
-    std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-  }
-  return results;
 }
 
 }  // namespace spmap

@@ -14,14 +14,13 @@
 #include <thread>
 #include <utility>
 
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
 #include "model/platform_io.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
-#include "workflows/workflows.hpp"
+#include "workflows/workload_spec.hpp"
 
 namespace spmap {
 
@@ -62,22 +61,6 @@ void signal_drain_handler(int) {
     const char byte = 's';
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
-}
-
-WorkflowFamily family_by_name(const std::string& name) {
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (name == workflow_family_name(f)) return f;
-  }
-  throw Error("unknown workflow family: " + name);
-}
-
-std::size_t generate_count(const Json& spec, const char* key,
-                           std::size_t fallback) {
-  if (!spec.contains(key)) return fallback;
-  const Json& v = spec.at(key);
-  require(v.is_number() && v.as_double() >= 0.0,
-          std::string("generate.") + key + " must be a non-negative number");
-  return static_cast<std::size_t>(v.as_int());
 }
 
 }  // namespace
@@ -386,40 +369,29 @@ std::size_t Daemon::class_capacity(int priority) const {
 
 TaskGraph graph_from_generate_spec(const Json& spec) {
   require(spec.is_object(), "generate must be an object");
-  spec.require_keys("generate", {"type", "tasks", "extra_edges", "seed",
-                                 "family", "width"});
-  std::string type = "sp";
-  if (spec.contains("type")) {
-    require(spec.at("type").is_string(), "generate.type must be a string");
-    type = spec.at("type").as_string();
-  }
-  Rng rng(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(generate_count(spec, "seed", 1))));
-  TaskGraph tg;
-  if (type == "sp" || type == "almost-sp") {
-    tg.dag = generate_sp_dag(generate_count(spec, "tasks", 30), rng);
-    if (type == "almost-sp") {
-      tg.dag = add_random_edges(tg.dag, generate_count(spec, "extra_edges",
-                                                       10),
-                                rng);
+  // Everything but the seed is a workload spec. The wire seed seeds the
+  // generator directly; the workload's own `seed` key would derive a
+  // per-instance stream instead.
+  Json workload = Json::object();
+  workload.set("type", Json("sp"));
+  std::uint64_t seed = 1;
+  for (const auto& [key, value] : spec.as_object()) {
+    if (key != "seed") {
+      workload.set(key, value);
+      continue;
     }
-    tg.attrs = random_task_attrs(tg.dag, rng);
-  } else if (type == "workflow") {
-    std::string family = "montage";
-    if (spec.contains("family")) {
-      require(spec.at("family").is_string(),
-              "generate.family must be a string");
-      family = spec.at("family").as_string();
-    }
-    WorkflowInstance inst = generate_workflow(
-        family_by_name(family), generate_count(spec, "width", 12), rng);
-    tg.dag = std::move(inst.dag);
-    tg.attrs = std::move(inst.attrs);
-  } else {
-    throw Error("generate.type must be sp, almost-sp or workflow, got \"" +
-                type + "\"");
+    require(value.is_number() && value.as_double() >= 0.0,
+            "generate.seed must be a non-negative number");
+    seed = static_cast<std::uint64_t>(value.as_int());
   }
-  return tg;
+  const WorkloadSpec parsed = workload_from_json(workload);
+  // A wire client must not make the daemon open server-side paths.
+  require(parsed.kind != WorkloadKind::WfCommons &&
+              parsed.kind != WorkloadKind::GraphFile,
+          std::string("generate.type '") + workload_kind_name(parsed.kind) +
+              "' reads a server-side file; send the graph inline instead");
+  Rng rng(seed);
+  return materialize_workload(parsed, rng);
 }
 
 std::shared_ptr<const TaskGraph> Daemon::resolve_graph(

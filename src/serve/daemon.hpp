@@ -82,10 +82,12 @@
 
 namespace spmap {
 
-/// Builds a task graph from a wire `generate` spec ({type, tasks, seed,
-/// extra_edges, family, width}; see docs/SERVING.md). Shared by the
-/// daemon's submit path and the load generator's local bit-identity
-/// verification, so the two generation paths cannot drift apart.
+/// Builds a task graph from a wire `generate` spec: a workload spec
+/// (workflows/workload_spec.hpp; `type` defaults to "sp") plus `seed`
+/// (default 1), materialized on Rng(seed). The file-backed kinds are
+/// refused. Shared by the daemon's submit path and the load generator's
+/// local bit-identity verification, so the two generation paths cannot
+/// drift apart. See docs/SERVING.md.
 TaskGraph graph_from_generate_spec(const Json& spec);
 
 struct DaemonOptions {

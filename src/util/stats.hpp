@@ -1,6 +1,6 @@
 #pragma once
 /// \file stats.hpp
-/// Small statistics toolkit used by the experiment harness: Welford online
+/// Small statistics toolkit used by the scenario runner: Welford online
 /// accumulation plus order statistics over stored samples.
 
 #include <cstddef>

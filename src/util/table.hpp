@@ -1,6 +1,6 @@
 #pragma once
 /// \file table.hpp
-/// Output helpers for the experiment harness: TSV series (machine readable,
+/// Output helpers for the scenario runner: TSV series (machine readable,
 /// one row per x-value) and aligned console tables (human readable).
 
 #include <iosfwd>

@@ -1,10 +1,15 @@
 /// Scenario subsystem coverage: workload and scenario JSON round-trips,
 /// registry-style diagnostics on unknown keys / types / sweep parameters /
-/// mapper specs, committed scenario files staying loadable, and a sweep
-/// smoke run asserting results are deterministic for a fixed seed and
-/// bit-identical across thread counts.
+/// mapper specs, every committed scenario file staying loadable and
+/// runnable, and a sweep smoke run asserting results are deterministic for
+/// a fixed seed and bit-identical across thread counts.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "bench/scenario.hpp"
 #include "bench/scenario_runner.hpp"
@@ -257,12 +262,30 @@ TEST(Scenario, SweepParameterMismatchFailsAtParseTime) {
   EXPECT_THROW(scenario_from_json(doc), Error);
 }
 
+/// Every committed scenario file under scenarios/, found recursively and
+/// sorted; platforms/ holds platform files, not scenarios.
+std::vector<std::string> committed_scenario_files() {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  const fs::path root = scenario_dir();
+  for (auto it = fs::recursive_directory_iterator(root);
+       it != fs::recursive_directory_iterator(); ++it) {
+    if (it->is_directory() && it->path().filename() == "platforms") {
+      it.disable_recursion_pending();
+    } else if (it->is_regular_file() && it->path().extension() == ".json") {
+      files.push_back(it->path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 TEST(Scenario, CommittedScenarioFilesLoadAndRoundTrip) {
-  for (const char* file :
-       {"/fig4_list_scheduling.json", "/fig4_local_search.json",
-        "/fig7_almost_sp.json", "/examples/fig4_small.json",
-        "/examples/montage_small.json"}) {
-    const Scenario s = load_scenario_file(scenario_dir() + file);
+  const std::vector<std::string> files = committed_scenario_files();
+  // fig4 x2, fig7, five ported binaries, seven table1 files, two examples.
+  EXPECT_GE(files.size(), 17u);
+  for (const std::string& file : files) {
+    const Scenario s = load_scenario_file(file);
     EXPECT_FALSE(s.name.empty()) << file;
     EXPECT_FALSE(s.mappers.empty()) << file;
     EXPECT_FALSE(s.platform_path.empty()) << file;  // references, not inline
@@ -333,6 +356,21 @@ TEST(ScenarioRunner, CommittedSmokeScenarioRuns) {
   EXPECT_EQ(results.at("platform").as_string(), "paper-cpu-gpu-fpga");
   EXPECT_EQ(results.at("sweep_parameter").as_string(), "tasks");
   EXPECT_EQ(results.at("results").as_array().size(), 3u);
+}
+
+TEST(ScenarioRunner, EveryCommittedScenarioRunsShrunk) {
+  // Each committed file runs end to end at 1 repetition and its first
+  // sweep value, so a figure or table cannot rot between full runs.
+  for (const std::string& file : committed_scenario_files()) {
+    Scenario s = load_scenario_file(file);
+    s.repetitions = 1;
+    if (s.sweep.enabled()) s.sweep.values.resize(1);
+    const Json results = run_scenario(s, {.threads = 2, .progress = false});
+    const Json::Array& points = results.at("results").as_array();
+    ASSERT_EQ(points.size(), 1u) << file;
+    EXPECT_EQ(points[0].at("mappers").as_array().size(), s.mappers.size())
+        << file;
+  }
 }
 
 }  // namespace

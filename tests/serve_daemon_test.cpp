@@ -16,11 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/journal.hpp"
 #include "util/error.hpp"
+#include "workflows/workflows.hpp"
 
 namespace spmap {
 namespace {
@@ -135,6 +137,73 @@ TEST(ServeDaemon, InlineGraphMatchesItsGenerateSpec) {
   EXPECT_EQ(results[0].at("makespan").as_double(),
             results[1].at("makespan").as_double());
   EXPECT_EQ(results[0].at("mapping").dump(), results[1].at("mapping").dump());
+}
+
+std::string graph_bytes(const TaskGraph& tg) {
+  return to_json(tg.dag, tg.attrs);
+}
+
+std::string generated_bytes(const char* spec) {
+  return graph_bytes(graph_from_generate_spec(Json::parse(spec)));
+}
+
+TEST(ServeDaemon, GenerateSpecMatchesTheDirectGeneratorSequence) {
+  // A wire generate spec materializes through WorkloadSpec on Rng(seed);
+  // the bytes must equal the generators called directly on that rng.
+  {
+    Rng rng(7);
+    TaskGraph want;
+    want.dag = generate_sp_dag(40, rng);
+    want.attrs = random_task_attrs(want.dag, rng);
+    EXPECT_EQ(generated_bytes(R"({"type":"sp","tasks":40,"seed":7})"),
+              graph_bytes(want));
+    // A missing type defaults to sp.
+    EXPECT_EQ(generated_bytes(R"({"tasks":40,"seed":7})"), graph_bytes(want));
+  }
+  {
+    Rng rng(9);
+    TaskGraph want;
+    want.dag = add_random_edges(generate_sp_dag(60, rng), 12, rng);
+    want.attrs = random_task_attrs(want.dag, rng);
+    EXPECT_EQ(generated_bytes(
+                  R"({"type":"almost-sp","tasks":60,"extra_edges":12,"seed":9})"),
+              graph_bytes(want));
+  }
+  {
+    Rng rng(3);
+    const WorkflowInstance want =
+        generate_workflow(WorkflowFamily::Soykb, 6, rng);
+    EXPECT_EQ(generated_bytes(
+                  R"({"type":"workflow","family":"soykb","width":6,"seed":3})"),
+              to_json(want.dag, want.attrs));
+  }
+}
+
+TEST(ServeDaemon, GenerateSpecRefusesFileKindsAndNegativeSeeds) {
+  for (const char* spec : {R"({"type":"graph","path":"g.json"})",
+                           R"({"type":"wfcommons","path":"w.json"})"}) {
+    try {
+      graph_from_generate_spec(Json::parse(spec));
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const Error& ex) {
+      EXPECT_NE(std::string(ex.what()).find("server-side"), std::string::npos)
+          << ex.what();
+    }
+  }
+  EXPECT_THROW(graph_from_generate_spec(
+                   Json::parse(R"({"type":"sp","tasks":10,"seed":-1})")),
+               Error);
+
+  // Over the wire the refusal is a bad_request answer.
+  DaemonFixture fixture({.workers = 1});
+  WireClient client(fixture.daemon->endpoint());
+  Json frame = submit_frame();
+  frame.set("generate", Json::parse(R"({"type":"graph","path":"g.json"})"));
+  client.send(frame);
+  const auto response = client.recv(10000.0);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_FALSE(response->at("ok").as_bool());
+  EXPECT_EQ(response->at("error").at("code").as_string(), "bad_request");
 }
 
 TEST(ServeDaemon, SubscribeAfterTerminalReplaysDone) {

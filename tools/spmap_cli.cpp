@@ -388,13 +388,12 @@ int run_scenario_command(int argc, char** argv, bool serve) {
   options.cache_bytes = static_cast<std::size_t>(cache_bytes);
 
   const std::string out = flags.get("out", "");
-  if (out.empty()) {
-    // No --out: the results document is the output (pipe-friendly).
-    const Json results = run_scenario(scenario, options);
-    write_output("", results.dump(2) + "\n");
-  } else {
-    run_report_write(scenario, options, out, std::cout);
-  }
+  const Json results = run_scenario(scenario, options);
+  // No --out: the results document is the output (pipe-friendly). With
+  // --out, stdout gets the improvement and time tables instead.
+  if (!out.empty()) print_sweep_tables(results, std::cout);
+  write_output(out, results.dump(2) + "\n");
+  if (!out.empty()) std::fprintf(stderr, "wrote %s\n", out.c_str());
   return kExitOk;
 }
 
