@@ -511,13 +511,13 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
     // crash. A failed journal write rejects the submit (and cancels the
     // already-enqueued job) — accepting unjournaled work would break the
     // restart guarantee the client was promised.
-    entry.submit_json = to_json(request);
     Json record = Json::object();
     record.set("type", Json("submitted"));
     record.set("job", Json(id));
-    record.set("submit", entry.submit_json);
+    record.set("submit", to_json(request));
+    entry.submitted_line = journal_line(record);
     try {
-      journal_->append(record, /*sync=*/true);
+      journal_->append_line(entry.submitted_line, /*sync=*/true);
     } catch (const Error& ex) {
       entry.handle.cancel();
       logf("job %llu rejected: %s",
@@ -611,14 +611,6 @@ bool Daemon::subscribe(std::uint64_t session, std::uint64_t job) {
 
 // ---- journal ---------------------------------------------------------------
 
-Json Daemon::submitted_record(std::uint64_t id, const JobEntry& entry) const {
-  Json record = Json::object();
-  record.set("type", Json("submitted"));
-  record.set("job", Json(id));
-  record.set("submit", entry.submit_json);
-  return record;
-}
-
 void Daemon::journal_append(const Json& record, bool sync) {
   if (journal_ == nullptr) return;
   try {
@@ -634,27 +626,25 @@ void Daemon::journal_append(const Json& record, bool sync) {
 
 void Daemon::compact_journal() {
   if (journal_ == nullptr) return;
-  std::vector<Json> records;
-  records.reserve(2 * jobs_.size());
+  std::vector<std::string> lines;
+  lines.reserve(2 * jobs_.size());
   for (const auto& [id, entry] : jobs_) {
-    if (entry.submit_json.is_object()) {
-      records.push_back(submitted_record(id, entry));
-    }
+    if (!entry.submitted_line.empty()) lines.push_back(entry.submitted_line);
     Json record = Json::object();
     if (entry.terminal) {
       record.set("type", Json("terminal"));
       record.set("job", Json(id));
       record.set("status", status_body(id, entry));
-      records.push_back(std::move(record));
+      lines.push_back(journal_line(record));
     } else if (entry.started) {
       record.set("type", Json("started"));
       record.set("job", Json(id));
-      records.push_back(std::move(record));
+      lines.push_back(journal_line(record));
     }
   }
   try {
-    journal_->rewrite(records);
-    logf("journal: compacted to %zu record(s)", records.size());
+    journal_->rewrite(lines);
+    logf("journal: compacted to %zu record(s)", lines.size());
   } catch (const Error& ex) {
     logf("journal: compaction failed: %s", ex.what());
   }
@@ -671,6 +661,9 @@ void Daemon::init_journal() {
   // win (a job's terminal status supersedes its progress markers).
   struct Recovered {
     Json submit;
+    /// The submitted record re-encoded: dumping a parsed dump reproduces
+    /// it, so these are the bytes that were appended at submit.
+    std::string submitted_line;
     bool have_submit = false;
     bool started = false;
     std::optional<Json> terminal;
@@ -686,6 +679,7 @@ void Daemon::init_journal() {
     Recovered& job = recovered[id];
     if (type == "submitted" && record.contains("submit")) {
       job.submit = record.at("submit");
+      job.submitted_line = journal_line(record);
       job.have_submit = true;
     } else if (type == "started") {
       job.started = true;
@@ -699,7 +693,7 @@ void Daemon::init_journal() {
   for (auto& [id, job] : recovered) {
     next_job_id_ = std::max(next_job_id_, id + 1);
     JobEntry entry;
-    if (job.have_submit) entry.submit_json = job.submit;
+    entry.submitted_line = std::move(job.submitted_line);
 
     if (job.terminal.has_value()) {
       // Finished before the restart: keep the recorded status answerable

@@ -206,8 +206,9 @@ class Daemon : public SessionHost {
     bool started = false;   ///< a worker picked it up (journaled)
     bool terminal = false;
     std::set<std::uint64_t> subscribers;  ///< session ids
-    /// Wire submit body, kept for journal compaction (journal mode only).
-    Json submit_json;
+    /// The job's encoded `submitted` journal line, written once at submit
+    /// and copied verbatim by compaction (journal mode only).
+    std::string submitted_line;
     /// Terminal status restored from the journal after a restart — such
     /// an entry has no live handle; status answers from this verbatim.
     std::optional<Json> restored_status;
@@ -280,7 +281,6 @@ class Daemon : public SessionHost {
   /// Rewrites the journal as one submitted(+started/terminal) record per
   /// retained job, bounding the file by the completed retention.
   void compact_journal() SPMAP_REQUIRES(io_role_);
-  Json submitted_record(std::uint64_t id, const JobEntry& entry) const;
 
   void logf(const char* fmt, ...) const;
 

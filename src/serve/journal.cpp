@@ -183,11 +183,10 @@ void Journal::close_file() {
   }
 }
 
-void Journal::append(const Json& record, bool sync) {
+void Journal::append_line(const std::string& line, bool sync) {
   if (failpoint("journal.append")) {
     throw Error("journal: injected append failure (failpoint)");
   }
-  const std::string line = journal_line(record);
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
     throw Error("journal: write to " + path_ + " failed: " +
                 std::strerror(errno));
@@ -197,14 +196,13 @@ void Journal::append(const Json& record, bool sync) {
   ++appended_;
 }
 
-void Journal::rewrite(const std::vector<Json>& records) {
+void Journal::rewrite(const std::vector<std::string>& lines) {
   const std::string tmp = path_ + ".tmp";
   std::FILE* out = std::fopen(tmp.c_str(), "wb");
   if (out == nullptr) {
     throw Error("journal: cannot open " + tmp + ": " + std::strerror(errno));
   }
-  for (const Json& record : records) {
-    const std::string line = journal_line(record);
+  for (const std::string& line : lines) {
     if (std::fwrite(line.data(), 1, line.size(), out) != line.size()) {
       std::fclose(out);
       std::remove(tmp.c_str());

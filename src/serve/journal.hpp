@@ -40,11 +40,13 @@
 ///
 /// ## Compaction
 ///
-/// `rewrite(records)` atomically replaces the journal (write temp,
-/// fsync, rename) with a consolidated snapshot — the daemon compacts to
-/// one submitted + one terminal record per retained job once enough
-/// appends accumulate, so the file stays bounded by the completed-job
-/// retention instead of growing with traffic.
+/// `rewrite(lines)` atomically replaces the journal (write temp, fsync,
+/// rename) with a consolidated snapshot — the daemon compacts to one
+/// submitted + one terminal record per retained job once enough appends
+/// accumulate, so the file stays bounded by the completed-job retention
+/// instead of growing with traffic. Both writers take encoded lines, so
+/// a record encoded once (the daemon keeps each retained job's submitted
+/// line) is copied verbatim instead of re-serialized.
 ///
 /// ## Thread-safety
 ///
@@ -109,14 +111,20 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  /// Appends one record; `sync` fsyncs before returning (the commit
-  /// barrier of acknowledged transitions). Throws spmap::Error when the
-  /// write or sync fails — and honors the `journal.append` failpoint.
-  void append(const Json& record, bool sync);
+  /// Appends one encoded record (a `journal_line`); `sync` fsyncs before
+  /// returning (the commit barrier of acknowledged transitions). Throws
+  /// spmap::Error when the write or sync fails — and honors the
+  /// `journal.append` failpoint.
+  void append_line(const std::string& line, bool sync);
 
-  /// Atomically replaces the journal with `records` (compaction): writes
-  /// `<path>.tmp`, fsyncs, renames over `path`, reopens for append.
-  void rewrite(const std::vector<Json>& records);
+  /// `append_line(journal_line(record), sync)`.
+  void append(const Json& record, bool sync) {
+    append_line(journal_line(record), sync);
+  }
+
+  /// Atomically replaces the journal with encoded `lines` (compaction):
+  /// writes `<path>.tmp`, fsyncs, renames over `path`, reopens for append.
+  void rewrite(const std::vector<std::string>& lines);
 
   /// Records appended since open/rewrite — the daemon's compaction
   /// trigger reads it.

@@ -5,7 +5,7 @@
 /// The result cache (src/serve/result_cache.hpp) keys memoized MapReports
 /// on the *content* of a mapping problem, so equality of keys must mean
 /// equality of inputs regardless of how those inputs were spelled: JSON
-/// key order, `%.17g` float round-trips and object construction details
+/// key order, float spellings and object construction details
 /// must not perturb the digest. This header provides the two building
 /// blocks:
 ///
@@ -13,8 +13,8 @@
 ///    128-bit `Digest`. Every absorbed value is domain-separated by a type
 ///    tag, so `u64(1), u64(2)` and `str("\x01\x02")` cannot collide by
 ///    concatenation. Doubles are absorbed by IEEE-754 bit pattern, which
-///    is exactly the identity the JSON layer round-trips (`%.17g` prints
-///    and reparses to the same bits, including the sign of -0.0).
+///    is exactly the identity the JSON layer round-trips (Json::dump
+///    prints and reparses to the same bits, including the sign of -0.0).
 ///  * `hash_json` — the canonical digest of a Json document: object keys
 ///    are hashed in sorted order (the serialization's key order is
 ///    cosmetic), arrays in element order (element order is data).

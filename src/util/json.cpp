@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -125,14 +126,29 @@ void format_number(double d, std::string& out) {
     out += buf;
     return;
   }
-  // Shortest representation that parses back to exactly `d`, so committed
+  // The shortest `%.{p}g` that parses back to exactly `d`, so committed
   // files stay human-readable (0.7, not 0.69999999999999996) without
-  // losing round-trip exactness.
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
+  // losing round-trip exactness. No string with fewer significant digits
+  // than to_chars' shortest round-trip form parses back to `d`, so the
+  // search starts at that digit count. That form is not emitted itself:
+  // it spells some values differently from %g (1e-04 vs 0.0001).
+  // to_chars(general, p) is printf %.{p}g; strtod checks the round trip.
+  const std::to_chars_result shortest =
+      std::to_chars(buf, buf + sizeof buf, d, std::chars_format::scientific);
+  int precision = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
   }
-  out += buf;
+  for (;; ++precision) {
+    char* const end = std::to_chars(buf, buf + sizeof buf - 1, d,
+                                    std::chars_format::general, precision)
+                          .ptr;
+    *end = '\0';
+    if (precision >= 17 || std::strtod(buf, nullptr) == d) {
+      out.append(buf, end);
+      return;
+    }
+  }
 }
 
 }  // namespace

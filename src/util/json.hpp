@@ -63,7 +63,11 @@ class Json {
   /// Array append.
   void push_back(Json value);
 
-  /// Serializes; indent < 0 means compact single-line output.
+  /// Serializes; indent < 0 means compact single-line output. Numbers
+  /// parse back exactly: integral values below 1e15 print as integers,
+  /// negative zero as `-0`, NaN and infinities as `null`, anything else as
+  /// the shortest printf `%.{p}g` that parses back to the same double
+  /// (`0.7`, `0.0001`). Parsing a dump and dumping it again reproduces it.
   std::string dump(int indent = -1) const;
 
   /// Parses a JSON document. Throws spmap::Error on malformed input.

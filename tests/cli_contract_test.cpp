@@ -15,6 +15,11 @@
 
 #include <sys/wait.h>
 
+#include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "util/rng.hpp"
+#include "workflows/workflows.hpp"
+
 namespace {
 
 std::string read_file(const std::string& path) {
@@ -128,6 +133,65 @@ TEST(CliContractBinary, ExitCodesMatchTheContract) {
       // Progress notes on stderr are fine; error-prefixed lines are not.
       EXPECT_EQ(read_file(err).find("spmap_cli:"), std::string::npos)
           << c.name;
+    }
+  }
+}
+
+/// `generate`'s output before it went through the workload spec: the
+/// generator calls the command used to make by hand, kept as the oracle.
+std::string reference_generate(const std::string& type, std::size_t tasks,
+                               std::size_t extra_edges,
+                               spmap::WorkflowFamily family, std::size_t width,
+                               std::uint64_t seed) {
+  spmap::Rng rng(seed);
+  spmap::Dag dag;
+  spmap::TaskAttrs attrs;
+  if (type == "workflow") {
+    spmap::WorkflowInstance inst = spmap::generate_workflow(family, width, rng);
+    dag = std::move(inst.dag);
+    attrs = std::move(inst.attrs);
+  } else {
+    dag = spmap::generate_sp_dag(tasks, rng);
+    if (type == "almost-sp") {
+      dag = spmap::add_random_edges(dag, extra_edges, rng);
+    }
+    attrs = spmap::random_task_attrs(dag, rng);
+  }
+  return spmap::to_json(dag, attrs) + "\n";
+}
+
+TEST(CliContractBinary, GenerateIsByteIdenticalPerSeed) {
+  const std::string tmp = ::testing::TempDir();
+  const std::string out = tmp + "/cli_generate.json";
+  const std::string log = tmp + "/cli_generate_stderr";
+  for (const std::uint64_t seed : {1u, 7u, 2024u}) {
+    // Defaults: 30 tasks, 10 extra edges, montage at width 12.
+    EXPECT_EQ(run_cli("generate --seed " + std::to_string(seed) +
+                          " --out " + out, "/dev/null", log), 0);
+    EXPECT_EQ(read_file(out), reference_generate("sp", 30, 10,
+                                                 spmap::WorkflowFamily::Montage,
+                                                 12, seed));
+    EXPECT_EQ(run_cli("generate --type sp --tasks 47 --seed " +
+                          std::to_string(seed) + " --out " + out,
+                      "/dev/null", log), 0);
+    EXPECT_EQ(read_file(out), reference_generate("sp", 47, 10,
+                                                 spmap::WorkflowFamily::Montage,
+                                                 12, seed));
+    EXPECT_EQ(run_cli("generate --type almost-sp --tasks 40 --extra-edges 6 "
+                      "--seed " + std::to_string(seed) + " --out " + out,
+                      "/dev/null", log), 0);
+    EXPECT_EQ(read_file(out), reference_generate("almost-sp", 40, 6,
+                                                 spmap::WorkflowFamily::Montage,
+                                                 12, seed));
+    for (const spmap::WorkflowFamily family : spmap::all_workflow_families()) {
+      const std::string name = spmap::workflow_family_name(family);
+      EXPECT_EQ(run_cli("generate --type workflow --family " + name +
+                            " --width 5 --seed " + std::to_string(seed) +
+                            " --out " + out, "/dev/null", log), 0)
+          << name;
+      EXPECT_EQ(read_file(out),
+                reference_generate("workflow", 0, 0, family, 5, seed))
+          << name;
     }
   }
 }

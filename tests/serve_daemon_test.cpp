@@ -10,8 +10,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -618,6 +623,163 @@ TEST(ServeDaemon, RestartOnTheSameJournalKeepsTerminalResults) {
   EXPECT_EQ(status->at("state").as_string(), "done");
   EXPECT_DOUBLE_EQ(status->at("makespan").as_double(), makespan);
 
+  std::remove(journal_path.c_str());
+}
+
+/// One parsed journal line (with its '\n').
+struct JournalEntry {
+  std::string line;
+  std::string type;
+  std::uint64_t job = 0;
+};
+
+std::vector<JournalEntry> read_journal(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<JournalEntry> entries;
+  std::string line;
+  while (std::getline(in, line)) {
+    Json record;
+    std::string error;
+    if (!parse_journal_line(line, record, error)) {
+      ADD_FAILURE() << path << ": " << error;
+      break;
+    }
+    entries.push_back({line + "\n", record.at("type").as_string(),
+                       static_cast<std::uint64_t>(record.at("job").as_int())});
+  }
+  return entries;
+}
+
+/// A journaled daemon with a small retention, driven past the compaction
+/// trigger (max(256, 4 x retention) appends): the journal shrinks, each
+/// retained job's submitted line is byte-identical to the line appended at
+/// submit, and after a restart retained jobs answer status while jobs cut
+/// off before their terminal record re-run bit-identically.
+TEST(ServeDaemon, CompactionKeepsSubmittedLinesVerbatimAcrossRestart) {
+  const std::string journal_path =
+      "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
+      "_compaction.journal";
+  std::remove(journal_path.c_str());
+  constexpr std::size_t kRetention = 4;
+  constexpr std::size_t kJobs = 100;  // >= 3 appends each: past 256
+
+  std::map<std::uint64_t, std::string> submitted;  // line at submit
+  std::map<std::uint64_t, Json> done_by_job;
+  std::uintmax_t peak_bytes = 0;
+  Endpoint endpoint;
+  {
+    DaemonFixture fixture({.workers = 1,
+                           .completed_retention = kRetention,
+                           .cache_entries = 0,
+                           .journal_path = journal_path});
+    endpoint = fixture.daemon->endpoint();
+    WireClient client(endpoint);
+    for (std::size_t k = 0; k < kJobs; ++k) {
+      Json frame = submit_frame(10 + k % 7, /*seed=*/k + 1);
+      if (k % 2 == 1) {
+        // Inline graphs carry non-integral numbers through the encoder.
+        const TaskGraph tg = graph_from_generate_spec(frame.at("generate"));
+        frame = Json::object();
+        frame.set("op", Json("submit"));
+        frame.set("mapper", Json("spff"));
+        frame.set("graph", Json::parse(to_json(tg.dag, tg.attrs)));
+      }
+      frame.set("seed", Json(std::uint64_t{5 + k}));
+      frame.set("construction_seed", Json(std::uint64_t{6 + k}));
+      frame.set("deadline_ms", Json(60000.25));
+      frame.set("subscribe", Json(true));
+      frame.set("return_mapping", Json(true));
+      client.send(frame);
+      const auto accepted = client.recv(10000.0);
+      ASSERT_TRUE(accepted.has_value() && accepted->at("ok").as_bool());
+      const auto job = static_cast<std::uint64_t>(accepted->at("job").as_int());
+      // The ok leaves after the submitted record is on disk.
+      for (const JournalEntry& e : read_journal(journal_path)) {
+        if (e.type == "submitted" && e.job == job) submitted[job] = e.line;
+      }
+      ASSERT_EQ(submitted.count(job), 1u) << "job " << job;
+      peak_bytes =
+          std::max(peak_bytes, std::filesystem::file_size(journal_path));
+      const auto done = client.recv_event("done", 30000.0);
+      ASSERT_TRUE(done.has_value());
+      ASSERT_EQ(done->at("state").as_string(), "done") << done->dump();
+      done_by_job[job] = *done;
+    }
+  }  // drain + exit
+
+  // Compaction ran: the file is smaller than at its peak and holds only
+  // the retained jobs' submits, each byte-identical to the original.
+  const std::vector<JournalEntry> compacted = read_journal(journal_path);
+  EXPECT_LT(std::filesystem::file_size(journal_path), peak_bytes);
+  std::size_t submits = 0;
+  for (const JournalEntry& e : compacted) {
+    if (e.type != "submitted") continue;
+    ++submits;
+    ASSERT_EQ(submitted.count(e.job), 1u);
+    EXPECT_EQ(e.line, submitted[e.job]) << "job " << e.job;
+  }
+  EXPECT_LT(submits, kJobs);
+  const std::uint64_t last = submitted.rbegin()->first;
+  for (std::uint64_t job = last - kRetention + 1; job <= last; ++job) {
+    bool found = false;
+    for (const JournalEntry& e : compacted) {
+      found = found || (e.type == "submitted" && e.job == job);
+    }
+    EXPECT_TRUE(found) << "retained job " << job << " lost its submit";
+  }
+
+  // Crash image: the last two jobs lose every record after their submit,
+  // as if the daemon died between the submitted and terminal fsyncs.
+  const std::set<std::uint64_t> unfinished = {last - 1, last};
+  std::string image;
+  for (const JournalEntry& e : compacted) {
+    if (unfinished.count(e.job) == 0 || e.type == "submitted") image += e.line;
+  }
+  {
+    std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
+    out << image;
+  }
+
+  DaemonFixture second({.endpoint = endpoint,
+                        .workers = 1,
+                        .completed_retention = kRetention,
+                        .cache_entries = 0,
+                        .journal_path = journal_path});
+  WireClient client(second.daemon->endpoint());
+  for (std::uint64_t job = last - kRetention + 1; job <= last; ++job) {
+    const Json& expected = done_by_job.at(job);
+    Json answer;
+    if (unfinished.count(job) != 0) {
+      client.send(Json(
+          Json::Object{{"op", Json("subscribe")}, {"job", Json(job)}}));
+      const auto ok = client.recv(10000.0);
+      ASSERT_TRUE(ok.has_value());
+      ASSERT_TRUE(ok->at("ok").as_bool()) << ok->dump();
+      const auto done = client.recv_event("done", 30000.0);
+      ASSERT_TRUE(done.has_value());
+      answer = *done;
+    } else {
+      client.send(
+          Json(Json::Object{{"op", Json("status")}, {"job", Json(job)}}));
+      const auto status = client.recv(10000.0);
+      ASSERT_TRUE(status.has_value() && status->at("ok").as_bool());
+      answer = *status;
+    }
+    EXPECT_EQ(answer.at("job").as_int(), static_cast<std::int64_t>(job));
+    ASSERT_EQ(answer.at("state").as_string(), "done") << answer.dump();
+    EXPECT_EQ(answer.at("makespan").as_double(),
+              expected.at("makespan").as_double())
+        << "job " << job;
+    EXPECT_EQ(answer.at("mapping").dump(), expected.at("mapping").dump())
+        << "job " << job;
+  }
+  // The restart's own compaction re-encoded the replayed submits: still
+  // the bytes appended at submit.
+  for (const JournalEntry& e : read_journal(journal_path)) {
+    if (e.type == "submitted") {
+      EXPECT_EQ(e.line, submitted[e.job]);
+    }
+  }
   std::remove(journal_path.c_str());
 }
 

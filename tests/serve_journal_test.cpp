@@ -222,11 +222,11 @@ TEST(ServeJournal, RewriteCompactsAtomicallyAndKeepsAppending) {
   EXPECT_EQ(journal.appended(), 16u);
 
   // Compact to the last two jobs only.
-  std::vector<Json> keep;
-  keep.push_back(record("submitted", 7));
-  keep.push_back(record("terminal", 7));
-  keep.push_back(record("submitted", 8));
-  keep.push_back(record("terminal", 8));
+  std::vector<std::string> keep;
+  keep.push_back(journal_line(record("submitted", 7)));
+  keep.push_back(journal_line(record("terminal", 7)));
+  keep.push_back(journal_line(record("submitted", 8)));
+  keep.push_back(journal_line(record("terminal", 8)));
   journal.rewrite(keep);
   EXPECT_EQ(journal.appended(), 0u);
 
@@ -239,6 +239,40 @@ TEST(ServeJournal, RewriteCompactsAtomicallyAndKeepsAppending) {
   EXPECT_FALSE(replay.tail_dropped);
   // No leftover temp file.
   EXPECT_EQ(read_file(path.str() + ".tmp"), "");
+}
+
+TEST(ServeJournal, JsonAndLineAppendsWriteIdenticalFiles) {
+  // A record with non-integral numbers, nesting and an escaped string: the
+  // daemon appends pre-encoded lines, spbench and older callers append Json.
+  Json submit = Json::object();
+  submit.set("mapper", Json("spff:cut=smallest"));
+  submit.set("deadline_ms", Json(12.375));
+  submit.set("weights", Json(Json::Array{Json(0.1), Json(1e-4), Json(-0.0),
+                                         Json(2.5e300)}));
+  submit.set("note", Json("tab\there \"quoted\""));
+  std::vector<Json> records;
+  for (std::uint64_t job = 1; job <= 4; ++job) {
+    Json r = record("submitted", job);
+    r.set("submit", submit);
+    records.push_back(std::move(r));
+    records.push_back(record("terminal", job));
+  }
+
+  TempPath by_json;
+  TempPath by_line;
+  {
+    Journal a(by_json.str());
+    Journal b(by_line.str());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      a.append(records[i], i % 2 == 0);
+      b.append_line(journal_line(records[i]), i % 2 == 0);
+    }
+    EXPECT_EQ(a.appended(), b.appended());
+  }
+  const std::string bytes = read_file(by_json.str());
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(read_file(by_line.str()), bytes);
+  EXPECT_EQ(replay_journal(by_line.str()).records.size(), records.size());
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
 #include "util/json.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +139,98 @@ TEST(Json, HugeMagnitudesRoundTrip) {
   // Non-finite values keep printing as null.
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
   EXPECT_EQ(Json(std::nan("")).dump(), "null");
+}
+
+/// The number formatter the fast path replaced, verbatim: the smallest
+/// p in 1..17 whose `%.{p}g` parses back exactly. The oracle of the
+/// byte-identity test below.
+std::string reference_number(double d) {
+  char buf[32];
+  if (!std::isfinite(d)) return "null";
+  if (d == 0.0 && std::signbit(d)) return "-0";
+  if (std::nearbyint(d) == d && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+TEST(Json, NumberFormattingIsByteIdenticalToThePrintfSearch) {
+  std::vector<double> values;
+  // Random bit patterns: every exponent, NaN/inf patterns included.
+  std::mt19937_64 bits(20240229);
+  for (int i = 0; i < 150000; ++i) {
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  // Random subnormals (biased exponent 0), both signs.
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t pattern = bits() & 0x800fffffffffffffULL;
+    values.push_back(std::bit_cast<double>(pattern));
+  }
+  // Short decimals, the common case in committed files (0.7, 12.25).
+  std::uniform_int_distribution<int> mantissa(1, 99999);
+  std::uniform_int_distribution<int> exponent(-12, 12);
+  for (int i = 0; i < 30000; ++i) {
+    const std::string text = std::to_string(mantissa(bits)) + "e" +
+                             std::to_string(exponent(bits));
+    values.push_back(std::strtod(text.c_str(), nullptr));
+  }
+  // Every power of two and its neighbours: at a binade boundary the
+  // rounding interval is asymmetric, the classic shortest-digits trap.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {std::nextafter(p, 0.0), p,
+                           std::nextafter(p, HUGE_VAL)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  // Powers of ten and their neighbours (exponent-width changes, 1e+100).
+  for (int e = -323; e <= 308; ++e) {
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    for (const double v : {std::nextafter(p, 0.0), p,
+                           std::nextafter(p, HUGE_VAL)}) {
+      values.push_back(v);
+    }
+  }
+  // to_chars' own shortest spelling of 1e-4 is "1e-04"; %g's is "0.0001".
+  values.push_back(0.0001);
+  values.push_back(1e-4);
+  values.push_back(1e-5);
+  values.push_back(0.7);
+  values.push_back(1.0 / 3.0);
+  // Both sides of the integral fast path's 1e15 bound.
+  for (const double v : {999999999999999.0, 1e15 - 0.5, 1e15, 1e15 + 1.0,
+                         1e15 + 2.0, 9007199254740992.0, 1e16, 1e21}) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
+  values.push_back(0.0);
+  values.push_back(-0.0);
+  values.push_back(std::numeric_limits<double>::infinity());
+  values.push_back(-std::numeric_limits<double>::infinity());
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  values.push_back(std::numeric_limits<double>::denorm_min());
+  values.push_back(std::numeric_limits<double>::max());
+  ASSERT_GE(values.size(), 200000u);
+
+  std::size_t mismatches = 0;
+  for (const double d : values) {
+    const std::string expected = reference_number(d);
+    const std::string actual = Json(d).dump();
+    if (actual != expected) {
+      if (++mismatches <= 10) {
+        ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(d)
+                      << ": dump " << actual << ", expected " << expected;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+  EXPECT_EQ(Json(0.0001).dump(), "0.0001");
 }
 
 TEST(Json, PrettyDumpParses) {

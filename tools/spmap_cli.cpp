@@ -60,7 +60,6 @@
 #include "exit_codes.hpp"
 #include "serve/daemon.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mappers/registry.hpp"
 #include "sched/schedule.hpp"
@@ -71,7 +70,7 @@
 #include "util/fs.hpp"
 #include "util/table.hpp"
 #include "workflows/wfcommons.hpp"
-#include "workflows/workflows.hpp"
+#include "workflows/workload_spec.hpp"
 
 using namespace spmap;
 using spmap::cli::kExitFailure;
@@ -162,44 +161,30 @@ void write_output(const std::string& path, const std::string& content) {
   out << content;
 }
 
-WorkflowFamily family_by_name(const std::string& name) {
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (name == workflow_family_name(f)) return f;
-  }
-  throw Error("unknown workflow family: " + name);
-}
-
 int cmd_generate(int argc, char** argv) {
   const Flags flags(argc, argv,
                     {"type", "tasks", "extra-edges", "family", "width",
                      "seed", "out"});
-  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
-  const std::string type = flags.get("type", "sp");
-
-  Dag dag;
-  TaskAttrs attrs;
-  if (type == "sp" || type == "almost-sp") {
-    const auto tasks = static_cast<std::size_t>(flags.get_int("tasks", 30));
-    dag = generate_sp_dag(tasks, rng);
-    if (type == "almost-sp") {
-      const auto extra =
-          static_cast<std::size_t>(flags.get_int("extra-edges", 10));
-      dag = add_random_edges(dag, extra, rng);
-    }
-    attrs = random_task_attrs(dag, rng);
-  } else if (type == "workflow") {
-    const auto width = static_cast<std::size_t>(flags.get_int("width", 12));
-    WorkflowInstance inst =
-        generate_workflow(family_by_name(flags.get("family", "montage")),
-                          width, rng);
-    dag = std::move(inst.dag);
-    attrs = std::move(inst.attrs);
-  } else {
-    throw Error("unknown --type: " + type);
+  // The flags spell a spmap-workload/1 object: the workload parser
+  // validates it (a flag the type does not take is an error) and supplies
+  // the defaults of the omitted ones.
+  Json workload = Json::object();
+  workload.set("type", Json(flags.get("type", "sp")));
+  for (const auto& [flag, key] : {std::pair{"tasks", "tasks"},
+                                  {"extra-edges", "extra_edges"},
+                                  {"width", "width"}}) {
+    if (flags.has(flag)) workload.set(key, Json(flags.get_int(flag, 0)));
   }
-  write_output(flags.get("out", ""), to_json(dag, attrs) + "\n");
-  std::fprintf(stderr, "generated %zu tasks, %zu edges\n", dag.node_count(),
-               dag.edge_count());
+  if (flags.has("family")) {
+    workload.set("family", Json(flags.get("family", "")));
+  }
+  // There is no --path flag, so the file-backed types fail to parse.
+  const WorkloadSpec spec = workload_from_json(workload);
+  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
+  const TaskGraph tg = materialize_workload(spec, rng);
+  write_output(flags.get("out", ""), to_json(tg.dag, tg.attrs) + "\n");
+  std::fprintf(stderr, "generated %zu tasks, %zu edges\n",
+               tg.dag.node_count(), tg.dag.edge_count());
   return kExitOk;
 }
 
