@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "graph/io.hpp"
@@ -80,7 +79,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   service_options.workers = options_.workers;
   service_options.seed = options_.seed;
   service_options.max_queued = options_.max_queued;
-  service_options.when_full = QueueFullPolicy::kReject;
   service_options.cache = cache_;
   service_ = std::make_unique<MappingService>(service_options);
 
@@ -286,32 +284,15 @@ void Daemon::handle_event(const Event& event) {
   JobEntry& entry = it->second;
 
   switch (event.kind) {
-    case Event::Kind::kStarted: {
-      if (entry.started || entry.terminal) return;
-      entry.started = true;
-      Json record = Json::object();
-      record.set("type", Json("started"));
-      record.set("job", Json(event.job));
-      journal_append(record, /*sync=*/false);
-      return;
-    }
     case Event::Kind::kIncumbent: {
-      if (journal_ != nullptr) {
-        Json record = Json::object();
-        record.set("type", Json("incumbent"));
-        record.set("job", Json(event.job));
-        record.set("makespan", Json(event.incumbent.makespan));
-        record.set("iteration", Json(event.incumbent.iteration));
-        record.set("seconds", Json(event.incumbent.seconds));
-        journal_append(record, /*sync=*/false);
-      }
+      if (entry.subscribers.empty()) return;
+      Json body = Json::object();
+      body.set("job", Json(event.job));
+      body.set("makespan", Json(event.incumbent.makespan));
+      body.set("iteration", Json(event.incumbent.iteration));
+      body.set("seconds", Json(event.incumbent.seconds));
       for (const std::uint64_t session : entry.subscribers) {
-        Json body = Json::object();
-        body.set("job", Json(event.job));
-        body.set("makespan", Json(event.incumbent.makespan));
-        body.set("iteration", Json(event.incumbent.iteration));
-        body.set("seconds", Json(event.incumbent.seconds));
-        send_event(session, "incumbent", std::move(body));
+        send_event(session, "incumbent", body);
       }
       return;
     }
@@ -324,11 +305,21 @@ void Daemon::handle_event(const Event& event) {
       // Commit before acknowledging: the fsynced terminal record is what
       // lets a restarted daemon answer status for this job; only then may
       // the done event (the client-visible acknowledgement) leave.
-      Json record = Json::object();
-      record.set("type", Json("terminal"));
-      record.set("job", Json(event.job));
-      record.set("status", status);
-      journal_append(record, /*sync=*/true);
+      if (journal_ != nullptr) {
+        Json record = Json::object();
+        record.set("type", Json("terminal"));
+        record.set("job", Json(event.job));
+        record.set("status", status);
+        try {
+          journal_->append(record, /*sync=*/true);
+        } catch (const Error& ex) {
+          // Degrade, don't die: a lost terminal record means the job is
+          // re-executed after a restart (same deterministic result), never
+          // lost or wrongly acknowledged. Only the submit-path append
+          // rejects work: there the acknowledgement *is* the promise.
+          logf("journal: append failed: %s", ex.what());
+        }
+      }
       logf("job %llu %s",
            static_cast<unsigned long long>(event.job),
            to_string(entry.handle.status()));
@@ -411,6 +402,52 @@ std::shared_ptr<const Platform> Daemon::resolve_platform(
       platform_from_json(*request.platform).platform);
 }
 
+Daemon::BuiltJob Daemon::build_job(std::uint64_t id,
+                                   const WireSubmit& request) {
+  // Eager validation: an unknown mapper name fails now (with the
+  // registry's did-you-mean diagnostic) instead of failing the job
+  // asynchronously. Option typos still surface via the job's kFailed
+  // path — they need a constructed Dag to validate against.
+  (void)MapperRegistry::instance().at(
+      MapperRegistry::split_spec(request.mapper_spec).first);
+  BuiltJob built;
+  MapJob& job = built.job;
+  job.graph = resolve_graph(request);
+  job.platform = resolve_platform(request);
+  job.mapper_spec = request.mapper_spec;
+  job.inner_orders = 0;
+  job.reporting_orders = request.reporting_orders;
+  job.priority = request.priority;
+  job.allow_warm_start = request.warm;
+  if (request.construction_seed.has_value()) {
+    job.construction_rng = Rng(*request.construction_seed);
+  }
+  // Callbacks run on worker threads — or, for a cache hit, synchronously
+  // inside the service submit on this IO thread: either way they only
+  // enqueue an event keyed by the wire id and wake the IO thread, which
+  // processes it once the caller has registered the JobEntry.
+  job.on_terminal = [this, id](std::uint64_t, JobStatus,
+                               const MapJobResult&) {
+    Event event;
+    event.kind = Event::Kind::kTerminal;
+    event.job = id;
+    push_event(std::move(event));
+  };
+  MapRequest& run = built.run;
+  run.deadline_ms = request.deadline_ms;
+  run.max_evaluations = request.max_evaluations;
+  run.max_iterations = request.max_iterations;
+  run.seed = request.seed;
+  run.on_incumbent = [this, id](const IncumbentRecord& record) {
+    Event event;
+    event.kind = Event::Kind::kIncumbent;
+    event.job = id;
+    event.incumbent = record;
+    push_event(std::move(event));
+  };
+  return built;
+}
+
 SubmitOutcome Daemon::submit(std::uint64_t session,
                              const WireSubmit& request) {
   SubmitOutcome outcome;
@@ -431,67 +468,17 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
     }
   }
 
-  MapJob job;
+  BuiltJob built;
   try {
-    // Eager validation: an unknown mapper name fails the submit now (with
-    // the registry's did-you-mean diagnostic) instead of failing the job
-    // asynchronously. Option typos still surface via the job's kFailed
-    // path — they need a constructed Dag to validate against.
-    (void)MapperRegistry::instance().at(
-        MapperRegistry::split_spec(request.mapper_spec).first);
-    job.graph = resolve_graph(request);
-    job.platform = resolve_platform(request);
+    built = build_job(next_job_id_, request);
   } catch (const Error& ex) {
     outcome.code = WireErrorCode::kBadRequest;
     outcome.message = ex.what();
     return outcome;
   }
-
   const std::uint64_t id = next_job_id_++;
-  job.mapper_spec = request.mapper_spec;
-  job.inner_orders = 0;
-  job.reporting_orders = request.reporting_orders;
-  job.priority = request.priority;
-  job.allow_warm_start = request.warm;
-  if (request.construction_seed.has_value()) {
-    job.construction_rng = Rng(*request.construction_seed);
-  }
-  // Callbacks run on worker threads — or, for a cache hit, synchronously
-  // from try_submit on this IO thread: either way they only enqueue an
-  // event keyed by the wire id (assigned above, before any worker can
-  // fire) and wake the IO thread. The events are processed after this
-  // submit returned and the JobEntry exists.
-  job.on_terminal = [this, id](std::uint64_t, JobStatus,
-                               const MapJobResult&) {
-    Event event;
-    event.kind = Event::Kind::kTerminal;
-    event.job = id;
-    push_event(std::move(event));
-  };
-  if (journal_ != nullptr) {
-    job.on_start = [this, id](std::uint64_t) {
-      Event event;
-      event.kind = Event::Kind::kStarted;
-      event.job = id;
-      push_event(std::move(event));
-    };
-  }
-
-  MapRequest run;
-  run.deadline_ms = request.deadline_ms;
-  run.max_evaluations = request.max_evaluations;
-  run.max_iterations = request.max_iterations;
-  run.seed = request.seed;
-  run.on_incumbent = [this, id](const IncumbentRecord& record) {
-    Event event;
-    event.kind = Event::Kind::kIncumbent;
-    event.job = id;
-    event.incumbent = record;
-    push_event(std::move(event));
-  };
-
   std::optional<MappingService::JobHandle> handle =
-      service_->try_submit(std::move(job), std::move(run));
+      service_->try_submit(std::move(built.job), std::move(built.run));
   if (!handle.has_value()) {
     outcome.code = WireErrorCode::kOverloaded;
     outcome.message = "queue full (max_queued " +
@@ -611,36 +598,18 @@ bool Daemon::subscribe(std::uint64_t session, std::uint64_t job) {
 
 // ---- journal ---------------------------------------------------------------
 
-void Daemon::journal_append(const Json& record, bool sync) {
-  if (journal_ == nullptr) return;
-  try {
-    journal_->append(record, sync);
-  } catch (const Error& ex) {
-    // Degrade, don't die: a failed progress/terminal append means the job
-    // is re-executed after a restart (same deterministic result), never
-    // lost or wrongly acknowledged. Only the submit-path append rejects
-    // work, because there the acknowledgement *is* the durability promise.
-    logf("journal: append failed: %s", ex.what());
-  }
-}
-
 void Daemon::compact_journal() {
   if (journal_ == nullptr) return;
   std::vector<std::string> lines;
   lines.reserve(2 * jobs_.size());
   for (const auto& [id, entry] : jobs_) {
     if (!entry.submitted_line.empty()) lines.push_back(entry.submitted_line);
+    if (!entry.terminal) continue;
     Json record = Json::object();
-    if (entry.terminal) {
-      record.set("type", Json("terminal"));
-      record.set("job", Json(id));
-      record.set("status", status_body(id, entry));
-      lines.push_back(journal_line(record));
-    } else if (entry.started) {
-      record.set("type", Json("started"));
-      record.set("job", Json(id));
-      lines.push_back(journal_line(record));
-    }
+    record.set("type", Json("terminal"));
+    record.set("job", Json(id));
+    record.set("status", status_body(id, entry));
+    lines.push_back(journal_line(record));
   }
   try {
     journal_->rewrite(lines);
@@ -657,15 +626,15 @@ void Daemon::init_journal() {
          options_.journal_path.c_str(), replay.tail_error.c_str());
   }
 
-  // Fold the record stream into per-job recovery state. Later records
-  // win (a job's terminal status supersedes its progress markers).
+  // Fold the record stream into per-job recovery state. Only `submitted`
+  // and `terminal` records are read; any other type (the `started` and
+  // `incumbent` progress markers of older journals) is skipped.
   struct Recovered {
     Json submit;
     /// The submitted record re-encoded: dumping a parsed dump reproduces
     /// it, so these are the bytes that were appended at submit.
     std::string submitted_line;
     bool have_submit = false;
-    bool started = false;
     std::optional<Json> terminal;
   };
   std::map<std::uint64_t, Recovered> recovered;
@@ -681,8 +650,6 @@ void Daemon::init_journal() {
       job.submit = record.at("submit");
       job.submitted_line = journal_line(record);
       job.have_submit = true;
-    } else if (type == "started") {
-      job.started = true;
     } else if (type == "terminal" && record.contains("status")) {
       job.terminal = record.at("status");
     }
@@ -719,60 +686,12 @@ void Daemon::init_journal() {
     try {
       const WireSubmit request = wire_submit_from_json(job.submit);
       cls = request.priority_class;
-      (void)MapperRegistry::instance().at(
-          MapperRegistry::split_spec(request.mapper_spec).first);
-
-      MapJob mjob;
-      mjob.graph = resolve_graph(request);
-      mjob.platform = resolve_platform(request);
-      mjob.mapper_spec = request.mapper_spec;
-      mjob.inner_orders = 0;
-      mjob.reporting_orders = request.reporting_orders;
-      mjob.priority = request.priority;
-      mjob.allow_warm_start = request.warm;
-      if (request.construction_seed.has_value()) {
-        mjob.construction_rng = Rng(*request.construction_seed);
-      }
-      const std::uint64_t wire_id = id;
-      mjob.on_terminal = [this, wire_id](std::uint64_t, JobStatus,
-                                         const MapJobResult&) {
-        Event event;
-        event.kind = Event::Kind::kTerminal;
-        event.job = wire_id;
-        push_event(std::move(event));
-      };
-      mjob.on_start = [this, wire_id](std::uint64_t) {
-        Event event;
-        event.kind = Event::Kind::kStarted;
-        event.job = wire_id;
-        push_event(std::move(event));
-      };
-      MapRequest run;
-      run.deadline_ms = request.deadline_ms;
-      run.max_evaluations = request.max_evaluations;
-      run.max_iterations = request.max_iterations;
-      run.seed = request.seed;
-      run.on_incumbent = [this, wire_id](const IncumbentRecord& record) {
-        Event event;
-        event.kind = Event::Kind::kIncumbent;
-        event.job = wire_id;
-        event.incumbent = record;
-        push_event(std::move(event));
-      };
-
+      BuiltJob built = build_job(id, request);
       // Recovery may momentarily hold more than max_queued jobs (what was
-      // queued plus what was running at the crash); wait for queue space
-      // instead of dropping acknowledged work.
-      std::optional<MappingService::JobHandle> handle =
-          service_->try_submit(mjob, run);
-      for (int i = 0; !handle.has_value() && i < 3000; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        handle = service_->try_submit(mjob, run);
-      }
-      require(handle.has_value(),
-              "journal recovery: queue stayed full for 30s");
-
-      entry.handle = *std::move(handle);
+      // queued plus what was running at the crash): submit waits for a
+      // free slot instead of dropping acknowledged work.
+      entry.handle =
+          service_->submit(std::move(built.job), std::move(built.run));
       entry.priority_class = request.priority_class;
       entry.want_mapping = request.want_mapping;
       ++outstanding_;

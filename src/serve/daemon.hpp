@@ -43,10 +43,10 @@
 ///
 /// ## Crash safety (journal) and reconnect (resume)
 ///
-/// With `journal_path` set, every job state transition is written
-/// through an `spmap-journal/1` log (serve/journal.hpp) — `submitted`
-/// and `terminal` records are fsynced before the corresponding wire
-/// acknowledgement leaves the daemon — and replayed at startup: a
+/// With `journal_path` set, every accepted submit and every terminal
+/// status is written through an `spmap-journal/1` log
+/// (serve/journal.hpp) — each record is fsynced before the corresponding
+/// wire acknowledgement leaves the daemon — and replayed at startup: a
 /// restarted daemon answers `status` (terminal results included) for
 /// every pre-restart job and re-enqueues jobs that never turned
 /// terminal. The journal is written and compacted from the IO thread
@@ -203,7 +203,6 @@ class Daemon : public SessionHost {
     MappingService::JobHandle handle;
     std::string priority_class;
     bool want_mapping = false;
-    bool started = false;   ///< a worker picked it up (journaled)
     bool terminal = false;
     std::set<std::uint64_t> subscribers;  ///< session ids
     /// The job's encoded `submitted` journal line, written once at submit
@@ -228,7 +227,7 @@ class Daemon : public SessionHost {
 
   /// Worker-to-IO-thread notification (see the header comment).
   struct Event {
-    enum class Kind { kStarted, kIncumbent, kTerminal, kReplayDone } kind;
+    enum class Kind { kIncumbent, kTerminal, kReplayDone } kind;
     std::uint64_t job = 0;
     IncumbentRecord incumbent;   ///< kIncumbent
     std::uint64_t session = 0;   ///< kReplayDone target
@@ -255,6 +254,16 @@ class Daemon : public SessionHost {
   /// Graduated per-class admission bound (see the header comment).
   std::size_t class_capacity(int priority) const;
 
+  /// A wire submit as a service job, with its callbacks wired to events
+  /// keyed by the wire id `id`.
+  struct BuiltJob {
+    MapJob job;
+    MapRequest run;
+  };
+  /// The one job path of `submit` and journal recovery. Throws
+  /// spmap::Error for an unknown mapper name or an unbuildable graph or
+  /// platform.
+  BuiltJob build_job(std::uint64_t id, const WireSubmit& request);
   std::shared_ptr<const TaskGraph> resolve_graph(const WireSubmit& request);
   std::shared_ptr<const Platform> resolve_platform(const WireSubmit& request);
   Json status_body(std::uint64_t id, const JobEntry& entry) const
@@ -274,11 +283,7 @@ class Daemon : public SessionHost {
   /// Replays `journal_path`, restores terminal jobs, re-enqueues
   /// unfinished ones, and opens (compacted) for append.
   void init_journal() SPMAP_REQUIRES(io_role_);
-  /// Appends one record, logging instead of failing the daemon: a broken
-  /// journal degrades to re-execution after restart, never lost jobs.
-  void journal_append(const Json& record, bool sync)
-      SPMAP_REQUIRES(io_role_);
-  /// Rewrites the journal as one submitted(+started/terminal) record per
+  /// Rewrites the journal as one submitted(+terminal) record pair per
   /// retained job, bounding the file by the completed retention.
   void compact_journal() SPMAP_REQUIRES(io_role_);
 

@@ -3,7 +3,8 @@
 /// `spmap-journal/1`: the daemon's crash-safe job journal.
 ///
 /// An append-only, newline-delimited record log the serving daemon
-/// writes through on every job state transition and replays at startup,
+/// writes through on every accepted submit and every terminal status
+/// and replays at startup,
 /// so a restarted daemon still answers `status` — terminal results
 /// included — for jobs submitted before the crash, and re-enqueues jobs
 /// that were accepted but never finished.
@@ -26,23 +27,23 @@
 ///
 ///   type "submitted"  + "submit": the full wire submit body — enough to
 ///                       re-enqueue the job after a restart
-///   type "started"    the job moved queued -> running
-///   type "incumbent"  + makespan/iteration/seconds of one improvement
 ///   type "terminal"   + "status": the terminal status body, verbatim
 ///                       what the `status` verb answers
 ///
+/// Replay skips any other type — among them the `started` and
+/// `incumbent` progress lines older daemons wrote.
+///
 /// ## Durability
 ///
-/// `append(record, /*sync=*/true)` fsyncs before returning — the daemon
-/// syncs the acknowledged transitions (submitted, terminal) and leaves
-/// the chatty ones (started, incumbent) buffered; a lost unsynced tail
-/// only loses progress markers, never an acknowledgement.
+/// `append(record, /*sync=*/true)` fsyncs before returning. The daemon
+/// syncs both of its record types, each before the wire acknowledgement
+/// it backs (the submit's ok, the job's done events).
 ///
 /// ## Compaction
 ///
 /// `rewrite(lines)` atomically replaces the journal (write temp, fsync,
 /// rename) with a consolidated snapshot — the daemon compacts to one
-/// submitted + one terminal record per retained job once enough appends
+/// submitted (+ one terminal) record per retained job once enough appends
 /// accumulate, so the file stays bounded by the completed-job retention
 /// instead of growing with traffic. Both writers take encoded lines, so
 /// a record encoded once (the daemon keeps each retained job's submitted

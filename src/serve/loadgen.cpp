@@ -75,10 +75,12 @@ RequestSpec request_spec(const LoadgenOptions& options, std::uint64_t index,
   if (options.distinct > 0) index %= options.distinct;
   std::uint64_t state =
       options.seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
+  // 53-bit seeds: wire numbers are doubles, so only these survive the
+  // trip to the daemon exactly (and larger ones are refused past 2^63).
   RequestSpec spec;
-  spec.generate_seed = splitmix64(state);
-  spec.construction_seed = splitmix64(state);
-  spec.run_seed = splitmix64(state);
+  spec.generate_seed = splitmix64(state) >> 11;
+  spec.construction_seed = splitmix64(state) >> 11;
+  spec.run_seed = splitmix64(state) >> 11;
   std::uint64_t total = 0;
   for (const MixEntry& entry : mix) total += entry.weight;
   std::uint64_t pick = splitmix64(state) % total;
@@ -209,59 +211,6 @@ void record_done(const Json& done, const RequestSpec& spec, double latency_ms,
   }
 }
 
-/// Closed loop: submit, wait for the `done`, repeat.
-void run_closed_session(const LoadgenOptions& options,
-                        const std::vector<MixEntry>& mix,
-                        std::uint64_t first_index, std::uint64_t count,
-                        SessionOutcome& out) {
-  WireClient client(options.endpoint, client_options(options, first_index));
-  out.connected = true;
-  const WallTimer clock;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t index = first_index + i;
-    const RequestSpec spec = request_spec(options, index, mix);
-    ++out.counts[spec.cls].submitted;
-    const double t0 = clock.seconds();
-    client.send(submit_frame(options, index, spec));
-    // Responses answer in request order and this session has nothing
-    // else outstanding: the first non-event frame is the submit answer.
-    std::optional<Json> answer;
-    for (;;) {
-      answer = client.recv(60e3);
-      if (!answer.has_value() || !answer->contains("event")) break;
-    }
-    if (!answer.has_value()) {
-      ++out.counts[spec.cls].failed;
-      note_error(out, "submit response timed out");
-      return;
-    }
-    if (!frame_ok(*answer)) {
-      if (frame_error_code(*answer) == "overloaded") {
-        ++out.counts[spec.cls].rejected;
-      } else {
-        ++out.counts[spec.cls].failed;
-        note_error(out, "submit refused: " + answer->dump());
-      }
-      continue;
-    }
-    const std::uint64_t job =
-        static_cast<std::uint64_t>(answer->at("job").as_int());
-    for (;;) {
-      std::optional<Json> frame = client.recv_event("done", 120e3);
-      if (!frame.has_value()) {
-        ++out.counts[spec.cls].failed;
-        note_error(out, "done event timed out");
-        return;
-      }
-      if (static_cast<std::uint64_t>(frame->at("job").as_int()) != job) {
-        continue;  // a straggler from an earlier request
-      }
-      record_done(*frame, spec, 1e3 * (clock.seconds() - t0), out);
-      break;
-    }
-  }
-}
-
 /// A uniform [0,1) roll from the session's deterministic chaos stream.
 bool chaos_roll(Rng& rng, double rate) {
   return (static_cast<double>(rng() >> 11) * 0x1.0p-53) < rate;
@@ -288,17 +237,23 @@ bool chaos_recover(WireClient& client, SessionOutcome& out) {
   }
 }
 
-/// Chaos closed loop: one request at a time, but the connection is
-/// deliberately killed around the interesting points, and the session
-/// must still account for every acknowledged submit exactly once.
-void run_chaos_session(const LoadgenOptions& options,
-                       const std::vector<MixEntry>& mix,
-                       std::uint64_t first_index, std::uint64_t count,
-                       SessionOutcome& out) {
+/// Closed loop: submit, wait for the `done`, repeat. Without chaos a
+/// timeout ends the session and a connection error propagates (the
+/// session fails). With chaos the connection is also deliberately killed
+/// around the submit and await points; the session recovers (resume, or
+/// re-hello + status polling) and must still account for every
+/// acknowledged submit exactly once.
+void run_closed_session(const LoadgenOptions& options,
+                        const std::vector<MixEntry>& mix,
+                        std::uint64_t first_index, std::uint64_t count,
+                        SessionOutcome& out) {
   WireClient client(options.endpoint, client_options(options, first_index));
   out.connected = true;
   std::uint64_t chaos_state = options.seed ^ (0xc4a05u + first_index);
   Rng chaos_rng(splitmix64(chaos_state));
+  const auto inject_drop = [&] {
+    return options.chaos && chaos_roll(chaos_rng, options.chaos_drop_rate);
+  };
   const WallTimer clock;
   std::set<std::uint64_t> recorded;  // job ids already accounted terminal
 
@@ -333,7 +288,7 @@ void run_chaos_session(const LoadgenOptions& options,
     for (;;) {
       try {
         client.send(submit_frame(options, index, spec));
-        if (options.chaos && chaos_roll(chaos_rng, options.chaos_drop_rate)) {
+        if (inject_drop()) {
           ++out.drops;
           client.drop_connection();
           chaos_recover(client, out);
@@ -341,10 +296,10 @@ void run_chaos_session(const LoadgenOptions& options,
         }
         std::optional<Json> answer = next_answer();
         if (!answer.has_value()) {
+          // The answer stream is out of step from here on: end the session.
           ++out.counts[spec.cls].failed;
           note_error(out, "submit response timed out");
-          settled = true;
-          break;
+          return;
         }
         if (!frame_ok(*answer)) {
           if (frame_error_code(*answer) == "overloaded") {
@@ -359,6 +314,7 @@ void run_chaos_session(const LoadgenOptions& options,
         job = static_cast<std::uint64_t>(answer->at("job").as_int());
         break;
       } catch (const Error&) {
+        if (!options.chaos) throw;
         ++out.drops;  // incidental: daemon killed mid-submit
         chaos_recover(client, out);
       }
@@ -367,9 +323,7 @@ void run_chaos_session(const LoadgenOptions& options,
 
     // ---- post-ack injected drop -----------------------------------------
     // Counted in the await loop below, where the dead socket surfaces.
-    if (options.chaos && chaos_roll(chaos_rng, options.chaos_drop_rate)) {
-      client.drop_connection();
-    }
+    if (inject_drop()) client.drop_connection();
 
     // ---- await the terminal result, across drops and restarts -----------
     bool done = false;
@@ -412,7 +366,12 @@ void run_chaos_session(const LoadgenOptions& options,
           continue;
         }
         std::optional<Json> frame = client.recv_event("done", 120e3);
-        if (!frame.has_value()) continue;  // request_timer bounds us
+        if (!frame.has_value()) {
+          if (options.chaos) continue;  // request_timer bounds us
+          ++out.counts[spec.cls].failed;
+          note_error(out, "done event timed out");
+          return;
+        }
         const auto jid =
             static_cast<std::uint64_t>(frame->at("job").as_int());
         if (jid != job) {
@@ -425,6 +384,7 @@ void run_chaos_session(const LoadgenOptions& options,
         recorded.insert(job);
         done = true;
       } catch (const Error&) {
+        if (!options.chaos) throw;
         ++out.drops;
         const bool resumed = chaos_recover(client, out);
         // Resumed: the missed events (the done included, if it fired
@@ -632,11 +592,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
             first += options.requests / options.sessions +
                      (t < options.requests % options.sessions ? 1 : 0);
           }
-          if (options.chaos) {
-            run_chaos_session(options, mix, first, base + extra, out);
-          } else {
-            run_closed_session(options, mix, first, base + extra, out);
-          }
+          run_closed_session(options, mix, first, base + extra, out);
         }
       } catch (const std::exception& ex) {
         note_error(out, std::string("session failed: ") + ex.what());

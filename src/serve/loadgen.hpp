@@ -17,7 +17,8 @@
 ///
 /// Requests are deterministic: request `i` of the run derives its
 /// generation seed, construction seed and run seed from `seed` and `i`
-/// (splitmix64 streams), pins both seeds on the wire, and bounds the run
+/// (splitmix64 streams cut to 53 bits, so they are exact as JSON
+/// numbers), pins both seeds on the wire, and bounds the run
 /// by evaluations only (no deadline) — so `verify` can re-run any
 /// completed request locally through the identical MappingService path
 /// and demand a bit-identical makespan. The request mix assigns priority

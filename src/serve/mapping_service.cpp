@@ -132,25 +132,16 @@ MappingService::~MappingService() {
 
 MappingService::JobHandle MappingService::submit(MapJob job,
                                                  MapRequest request) {
-  const bool may_block = options_.when_full == QueueFullPolicy::kBlock;
-  auto handle =
-      submit_locked(std::move(job), std::move(request), may_block,
-                    /*may_reject=*/!may_block);
-  if (!handle.has_value()) {
-    throw Error("MappingService: queue full (max_queued=" +
-                std::to_string(options_.max_queued) + ")");
-  }
-  return *std::move(handle);
+  return *admit(std::move(job), std::move(request), /*may_block=*/true);
 }
 
 std::optional<MappingService::JobHandle> MappingService::try_submit(
     MapJob job, MapRequest request) {
-  return submit_locked(std::move(job), std::move(request),
-                       /*may_block=*/false, /*may_reject=*/true);
+  return admit(std::move(job), std::move(request), /*may_block=*/false);
 }
 
-std::optional<MappingService::JobHandle> MappingService::submit_locked(
-    MapJob job, MapRequest request, bool may_block, bool may_reject) {
+std::optional<MappingService::JobHandle> MappingService::admit(
+    MapJob job, MapRequest request, bool may_block) {
   require(!job.mapper_spec.empty(), "MappingService: empty mapper spec");
   require(job.graph != nullptr, "MappingService: job without a graph");
   require(job.platform != nullptr, "MappingService: job without a platform");
@@ -209,7 +200,7 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
     if (std::optional<MapJobResult> hit = cache->lookup(plan->exact_key)) {
       // O(1) fast path: terminal before submit returns, no queue slot
       // consumed (hits are admitted even when the queue is full), no
-      // worker occupied, on_start never fired. Wall-clock fields carry
+      // worker occupied. Wall-clock fields carry
       // the original run's timings (excluded from determinism anyway).
       auto state = std::make_shared<JobState>();
       state->job = std::move(job);
@@ -275,13 +266,11 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
   {
     MutexLock lock(mutex_);
     if (options_.max_queued > 0 && queued_count_ >= options_.max_queued) {
-      if (may_block) {
-        while (queued_count_ >= options_.max_queued) queue_space_.wait(lock);
-      } else {
+      if (!may_block) {
         ++counters_.rejected;
-        (void)may_reject;
         return std::nullopt;
       }
+      while (queued_count_ >= options_.max_queued) queue_space_.wait(lock);
     }
     state->id = next_id_++;
     // The per-job rng stream depends only on the submission index, never
@@ -364,7 +353,6 @@ void MappingService::worker_loop() {
     queue_space_.notify_one();
 
     if (run) {
-      if (state->job.on_start) state->job.on_start(state->id);
       const JobStatus final_status = execute(*state);
       MutexLock lock(mutex_);
       --counters_.running;

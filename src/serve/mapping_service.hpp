@@ -45,15 +45,14 @@
 /// ## Admission and priorities
 ///
 /// `Options::max_queued` bounds the number of jobs *waiting* for a worker
-/// (running jobs do not count). A full queue makes `submit` follow
-/// `Options::when_full` — throw spmap::Error (kReject, the serving
-/// default) or block until a worker frees a slot (kBlock, the batch
-/// default) — while `try_submit` never blocks and returns std::nullopt
-/// instead. `MapJob::priority` orders the queue: workers always pick the
-/// highest waiting priority, FIFO within one priority, so a saturated
-/// service keeps serving its most urgent class first. `stats()` snapshots
-/// the admission counters for observability (the daemon's backpressure
-/// decisions read it).
+/// (running jobs do not count). A full queue makes `submit` wait until a
+/// worker frees a slot, while `try_submit` never blocks and returns
+/// std::nullopt instead — the one entry point that refuses work (the
+/// daemon's admission path). `MapJob::priority` orders the queue:
+/// workers always pick the highest waiting priority, FIFO within one
+/// priority, so a saturated service keeps serving its most urgent class
+/// first. `stats()` snapshots the admission counters for observability
+/// (the daemon's backpressure decisions read it).
 ///
 /// ## Result cache
 ///
@@ -70,8 +69,8 @@
 ///
 /// A hit turns the job terminal inside submit: no queue slot (it is
 /// admitted even when the queue is full), no worker, `on_terminal` fired
-/// from the *submitting* thread before submit returns, `on_start` never
-/// fired, and `report.cache == CacheOutcome::kHit`. Misses run normally
+/// from the *submitting* thread before submit returns, and
+/// `report.cache == CacheOutcome::kHit`. Misses run normally
 /// (reporting kMiss) and, when they finish deterministically (kDone with
 /// kConverged/kBudgetExhausted), are inserted. Uncacheable jobs report
 /// kNone. Jobs opting in via `MapJob::allow_warm_start` may additionally
@@ -207,12 +206,6 @@ struct MapJob {
   std::function<void(std::uint64_t id, JobStatus status,
                      const MapJobResult& result)>
       on_terminal;
-  /// Fired once when a worker picks the job up (kQueued -> kRunning), from
-  /// that worker, outside every service lock. Not fired for jobs cancelled
-  /// while queued. Same non-blocking contract as `on_terminal`; the daemon
-  /// journals the transition so a restart can tell started work apart from
-  /// work that never left the queue.
-  std::function<void(std::uint64_t id)> on_start;
 };
 
 /// What a finished job yields.
@@ -231,9 +224,6 @@ struct MapJobResult {
   std::string error;
 };
 
-/// What a full queue makes `submit` do (see the header comment).
-enum class QueueFullPolicy { kReject, kBlock };
-
 struct MappingServiceOptions {
   /// Worker threads executing jobs (>= 1; 0 is promoted to 1).
   std::size_t workers = 1;
@@ -241,9 +231,6 @@ struct MappingServiceOptions {
   std::uint64_t seed = 0x5e9e5eed;
   /// Bound on *waiting* jobs (running jobs excluded); 0 = unbounded.
   std::size_t max_queued = 0;
-  /// Applied by `submit` when the queue is full; `try_submit` always
-  /// rejects (returns std::nullopt) regardless of this policy.
-  QueueFullPolicy when_full = QueueFullPolicy::kReject;
   /// Result cache consulted by submit (see the header comment). May be
   /// shared between services; null disables caching entirely.
   std::shared_ptr<ResultCache> cache;
@@ -293,13 +280,12 @@ class MappingService {
   /// as in Mapper::map; its CancelToken is replaced by a per-job child, so
   /// `JobHandle::cancel` stays local to one job while cancelling the
   /// caller's original token still cancels every job submitted with it.
-  /// A full bounded queue makes this throw spmap::Error (kReject) or wait
-  /// for a slot (kBlock).
+  /// A full bounded queue makes this wait for a slot — so never call it
+  /// from a job callback, whose worker may be the one to free that slot.
   JobHandle submit(MapJob job, MapRequest request = {});
 
   /// Non-blocking admission: std::nullopt when the bounded queue is full
-  /// (counted in `stats().rejected`), a live handle otherwise. Never
-  /// blocks, independent of `Options::when_full`.
+  /// (counted in `stats().rejected`), a live handle otherwise.
   std::optional<JobHandle> try_submit(MapJob job, MapRequest request = {});
 
   /// Blocks until every job submitted so far is terminal.
@@ -315,8 +301,10 @@ class MappingService {
   struct JobState;
   struct CachePlan;
 
-  std::optional<JobHandle> submit_locked(MapJob job, MapRequest request,
-                                         bool may_block, bool may_reject);
+  /// Both entry points: waits for a queue slot when `may_block`, refuses
+  /// (std::nullopt) otherwise.
+  std::optional<JobHandle> admit(MapJob job, MapRequest request,
+                                 bool may_block);
   void worker_loop();
   JobStatus execute(JobState& state);
 
@@ -342,7 +330,7 @@ class MappingService {
   mutable Mutex mutex_;
   CondVar work_ready_;   // workers wait for jobs / stop
   CondVar job_done_;     // waiters in wait_all
-  CondVar queue_space_;  // blocked submitters (kBlock)
+  CondVar queue_space_;  // submitters waiting for a slot
   /// Waiting jobs by priority, highest served first, FIFO within one.
   std::map<int, std::deque<std::shared_ptr<JobState>>, std::greater<int>>
       queues_ SPMAP_GUARDED_BY(mutex_);

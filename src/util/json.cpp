@@ -23,6 +23,9 @@ double Json::as_double() const {
 std::int64_t Json::as_int() const {
   const double d = as_double();
   require(std::nearbyint(d) == d, "Json: number is not integral");
+  // [-2^63, 2^63) is exactly the set of doubles the cast is defined for.
+  require(d >= -0x1p63 && d < 0x1p63,
+          "Json: integer is outside the 64-bit range");
   return static_cast<std::int64_t>(d);
 }
 

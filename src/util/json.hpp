@@ -47,6 +47,8 @@ class Json {
 
   bool as_bool() const;
   double as_double() const;
+  /// The number as an integer; throws spmap::Error unless it is integral
+  /// and inside [-2^63, 2^63).
   std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;

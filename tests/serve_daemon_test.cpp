@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/un.h>
@@ -27,6 +28,8 @@
 #include "serve/daemon.hpp"
 #include "serve/journal.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
+#include "util/timer.hpp"
 #include "workflows/workflows.hpp"
 
 namespace spmap {
@@ -66,6 +69,23 @@ class DaemonFixture {
   std::thread io;
   int exit_code = -1;
 };
+
+/// Sends `frame` and returns the first response (events are skipped).
+Json request(WireClient& client, const Json& frame) {
+  client.send(frame);
+  for (;;) {
+    std::optional<Json> answer = client.recv(10000.0);
+    if (!answer.has_value()) {
+      ADD_FAILURE() << "no answer to " << frame.dump();
+      return Json::object();
+    }
+    if (!answer->contains("event")) return *answer;
+  }
+}
+
+Json status_frame(std::uint64_t job) {
+  return Json(Json::Object{{"op", Json("status")}, {"job", Json(job)}});
+}
 
 Json submit_frame(std::size_t tasks = 12, std::uint64_t seed = 1) {
   Json generate = Json::object();
@@ -197,6 +217,9 @@ TEST(ServeDaemon, GenerateSpecRefusesFileKindsAndNegativeSeeds) {
   }
   EXPECT_THROW(graph_from_generate_spec(
                    Json::parse(R"({"type":"sp","tasks":10,"seed":-1})")),
+               Error);
+  EXPECT_THROW(graph_from_generate_spec(
+                   Json::parse(R"({"type":"sp","tasks":10,"seed":1e300})")),
                Error);
 
   // Over the wire the refusal is a bad_request answer.
@@ -504,9 +527,25 @@ TEST(ServeDaemon, ResumePastTheWindowFallsBackToHello) {
   EXPECT_TRUE(ok->at("ok").as_bool());
 }
 
+/// A progress record in the format older daemons journaled and replay now
+/// skips: `started`, or `incumbent` with one improvement.
+Json progress_record(const char* type, std::uint64_t job) {
+  Json record = Json::object();
+  record.set("type", Json(type));
+  record.set("job", Json(job));
+  if (std::string(type) == "incumbent") {
+    record.set("makespan", Json(43.75));
+    record.set("iteration", Json(std::uint64_t{12}));
+    record.set("seconds", Json(0.0125));
+  }
+  return record;
+}
+
 /// A hand-crafted journal: job 1 finished before the "crash", job 2 was
-/// acknowledged but never ran. The restarted daemon must answer status
-/// for job 1 verbatim and re-enqueue job 2 to completion.
+/// acknowledged and had started but never finished; both carry the
+/// `started`/`incumbent` progress records older daemons wrote. The
+/// restarted daemon must answer status for job 1 verbatim and re-enqueue
+/// job 2 to completion.
 TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
   const std::string journal_path =
       "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
@@ -538,6 +577,8 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
                                      {"job", Json(std::uint64_t{1})},
                                      {"submit", std::move(submit1)}}),
                    true);
+    journal.append(progress_record("started", 1), false);
+    journal.append(progress_record("incumbent", 1), false);
     journal.append(Json(Json::Object{{"type", Json("terminal")},
                                      {"job", Json(std::uint64_t{1})},
                                      {"status", std::move(status1)}}),
@@ -546,6 +587,8 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
                                      {"job", Json(std::uint64_t{2})},
                                      {"submit", std::move(submit2)}}),
                    true);
+    journal.append(progress_record("started", 2), false);
+    journal.append(progress_record("incumbent", 2), false);
   }
 
   DaemonFixture fixture(
@@ -661,7 +704,7 @@ TEST(ServeDaemon, CompactionKeepsSubmittedLinesVerbatimAcrossRestart) {
       "_compaction.journal";
   std::remove(journal_path.c_str());
   constexpr std::size_t kRetention = 4;
-  constexpr std::size_t kJobs = 100;  // >= 3 appends each: past 256
+  constexpr std::size_t kJobs = 140;  // 2 appends each: past 256
 
   std::map<std::uint64_t, std::string> submitted;  // line at submit
   std::map<std::uint64_t, Json> done_by_job;
@@ -781,6 +824,283 @@ TEST(ServeDaemon, CompactionKeepsSubmittedLinesVerbatimAcrossRestart) {
     }
   }
   std::remove(journal_path.c_str());
+}
+
+/// Recovery holds more unfinished jobs than the queue admits: it waits
+/// for queue space instead of failing acknowledged work, and every job
+/// finishes under its original id.
+TEST(ServeDaemon, RecoveryWaitsForQueueSpaceWithOneWorkerAndOneSlot) {
+  const std::string journal_path =
+      "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
+      "_backlog.journal";
+  std::remove(journal_path.c_str());
+  constexpr std::uint64_t kJobs = 6;
+  {
+    Journal journal(journal_path);
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+      Json submit = Json::object();
+      submit.set("mapper", Json("anneal:iters=20000"));
+      submit.set("generate", submit_frame(16, job).at("generate"));
+      submit.set("seed", Json(job));
+      submit.set("construction_seed", Json(job));
+      journal.append(Json(Json::Object{{"type", Json("submitted")},
+                                       {"job", Json(job)},
+                                       {"submit", std::move(submit)}}),
+                     true);
+    }
+  }
+
+  DaemonFixture fixture(
+      {.workers = 1, .max_queued = 1, .journal_path = journal_path});
+  WireClient client(fixture.daemon->endpoint());
+  for (std::uint64_t job = 1; job <= kJobs; ++job) {
+    client.send(
+        Json(Json::Object{{"op", Json("subscribe")}, {"job", Json(job)}}));
+  }
+  // Subscribe answers interleave with the done events (replayed for jobs
+  // that finished while the daemon was still starting).
+  std::size_t subscribed = 0;
+  std::set<std::uint64_t> finished;
+  while (subscribed < kJobs || finished.size() < kJobs) {
+    const auto frame = client.recv(30000.0);
+    ASSERT_TRUE(frame.has_value()) << finished.size() << " job(s) finished";
+    if (!frame->contains("event")) {
+      ASSERT_TRUE(frame->at("ok").as_bool()) << frame->dump();
+      ++subscribed;
+      continue;
+    }
+    if (frame->at("event").as_string() != "done") continue;
+    EXPECT_EQ(frame->at("state").as_string(), "done") << frame->dump();
+    EXPECT_TRUE(
+        finished.insert(static_cast<std::uint64_t>(frame->at("job").as_int()))
+            .second)
+        << frame->dump();
+  }
+  EXPECT_EQ(*finished.begin(), 1u);
+  EXPECT_EQ(*finished.rbegin(), kJobs);
+  std::remove(journal_path.c_str());
+}
+
+/// A submit whose journal append fails is refused with `internal`: the
+/// job is never acknowledged, never answerable, and does not come back
+/// after a restart, while the next submit goes through.
+TEST(ServeDaemon, FailedSubmitAppendIsRefusedAndStaysGoneAfterRestart) {
+  const std::string journal_path =
+      "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
+      "_append_error.journal";
+  std::remove(journal_path.c_str());
+  Endpoint endpoint;
+  std::uint64_t accepted_job = 0;
+  {
+    DaemonFixture fixture({.workers = 1, .journal_path = journal_path});
+    endpoint = fixture.daemon->endpoint();
+    WireClient client(endpoint);
+    Failpoints::instance().arm("journal.append=error@0+1");
+    const Json refused = request(client, submit_frame(12, 1));
+    Failpoints::instance().clear();
+    ASSERT_FALSE(refused.at("ok").as_bool()) << refused.dump();
+    EXPECT_EQ(refused.at("error").at("code").as_string(), "internal");
+    EXPECT_FALSE(refused.contains("job"));
+
+    // The refused submit consumed id 1 without being acknowledged.
+    const Json unknown = request(client, status_frame(1));
+    EXPECT_EQ(unknown.at("error").at("code").as_string(), "unknown_job");
+
+    Json frame = submit_frame(12, 2);
+    frame.set("subscribe", Json(true));
+    const Json accepted = request(client, frame);
+    ASSERT_TRUE(accepted.at("ok").as_bool()) << accepted.dump();
+    accepted_job = static_cast<std::uint64_t>(accepted.at("job").as_int());
+    EXPECT_EQ(accepted_job, 2u);
+    const auto done = client.recv_event("done", 30000.0);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->at("state").as_string(), "done");
+  }  // drain + exit
+
+  DaemonFixture second(
+      {.endpoint = endpoint, .workers = 1, .journal_path = journal_path});
+  WireClient client(second.daemon->endpoint());
+  const Json unknown = request(client, status_frame(1));
+  EXPECT_EQ(unknown.at("error").at("code").as_string(), "unknown_job");
+  const Json status = request(client, status_frame(accepted_job));
+  ASSERT_TRUE(status.at("ok").as_bool()) << status.dump();
+  EXPECT_EQ(status.at("state").as_string(), "done");
+  for (const JournalEntry& e : read_journal(journal_path)) {
+    EXPECT_EQ(e.job, accepted_job) << e.line;
+  }
+  std::remove(journal_path.c_str());
+}
+
+/// The `stats` verb reports the service counters of a known submit
+/// sequence, and still answers once the daemon is draining.
+TEST(ServeDaemon, StatsVerbCountsJobsAndAnswersWhileDraining) {
+  DaemonFixture fixture({.workers = 1});
+  WireClient client(fixture.daemon->endpoint());
+  const Json stats_frame(Json::Object{{"op", Json("stats")}});
+  const auto expect_counts = [](const Json& stats, std::int64_t submitted,
+                                std::int64_t running, std::int64_t done) {
+    ASSERT_TRUE(stats.at("ok").as_bool()) << stats.dump();
+    EXPECT_EQ(stats.at("submitted").as_int(), submitted);
+    EXPECT_EQ(stats.at("rejected").as_int(), 0);
+    EXPECT_EQ(stats.at("queued").as_int(), 0);
+    EXPECT_EQ(stats.at("running").as_int(), running);
+    EXPECT_EQ(stats.at("done").as_int(), done);
+    EXPECT_EQ(stats.at("failed").as_int(), 0);
+    EXPECT_EQ(stats.at("cancelled").as_int(), 0);
+    EXPECT_EQ(stats.at("submitted").as_int(),
+              stats.at("queued").as_int() + stats.at("running").as_int() +
+                  stats.at("done").as_int() + stats.at("failed").as_int() +
+                  stats.at("cancelled").as_int());
+    // Three distinct pinned problems missed the cache; the repeat hit.
+    EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
+    EXPECT_EQ(stats.at("cache_misses").as_int(), 3);
+  };
+
+  // Three pinned jobs run to completion; a repeat of the first is
+  // answered from the result cache.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 1u}) {
+    Json frame = submit_frame(12, seed);
+    frame.set("construction_seed", Json(seed));
+    frame.set("subscribe", Json(true));
+    const Json ok = request(client, frame);
+    ASSERT_TRUE(ok.at("ok").as_bool()) << ok.dump();
+    const auto done = client.recv_event("done", 30000.0);
+    ASSERT_TRUE(done.has_value());
+  }
+  // Refused submits never reach the service.
+  Json unknown_mapper = submit_frame();
+  unknown_mapper.set("mapper", Json("definitely-not-a-mapper"));
+  EXPECT_FALSE(request(client, unknown_mapper).at("ok").as_bool());
+  expect_counts(request(client, stats_frame), 4, 0, 4);
+
+  // A long job keeps the drain open while stats is asked again.
+  Json slow = submit_frame(24);
+  slow.set("mapper", Json("anneal:iters=500000000"));
+  slow.set("deadline_ms", Json(60000.0));
+  slow.set("subscribe", Json(true));
+  const Json accepted = request(client, slow);
+  ASSERT_TRUE(accepted.at("ok").as_bool()) << accepted.dump();
+  const auto slow_job =
+      static_cast<std::uint64_t>(accepted.at("job").as_int());
+  for (int poll = 0; poll < 1000; ++poll) {
+    if (request(client, status_frame(slow_job)).at("state").as_string() ==
+        "running") {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(request(client, Json(Json::Object{{"op", Json("drain")},
+                                                {"grace_ms", Json(60000.0)}}))
+                  .at("ok")
+                  .as_bool());
+  ASSERT_TRUE(client.recv_event("draining", 10000.0).has_value());
+  const Json refused = request(client, submit_frame());
+  EXPECT_EQ(refused.at("error").at("code").as_string(), "draining");
+  expect_counts(request(client, stats_frame), 5, 1, 4);
+
+  // Cancelling the long job lets the drain finish cleanly.
+  EXPECT_TRUE(request(client, Json(Json::Object{{"op", Json("cancel")},
+                                                {"job", Json(slow_job)}}))
+                  .at("ok")
+                  .as_bool());
+  const auto done = client.recv_event("done", 30000.0);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->at("termination").as_string(), "cancelled");
+  EXPECT_EQ(fixture.join(), 0);
+}
+
+/// A bare connection without WireClient's automatic hello, so a test can
+/// open with `resume` while the session's first connection is still up.
+class RawConnection {
+ public:
+  explicit RawConnection(const Endpoint& endpoint)
+      : socket_(connect_endpoint(endpoint, 5000.0)) {}
+
+  void send(const Json& frame) {
+    const std::string line = frame.dump() + "\n";
+    EXPECT_EQ(send_some(socket_.fd(), line.data(), line.size()),
+              static_cast<ssize_t>(line.size()));
+  }
+
+  /// The next frame; std::nullopt on timeout or when the server closed.
+  std::optional<Json> recv(double timeout_ms) {
+    const WallTimer timer;
+    char buffer[4096];
+    while (next_ == frames_.size()) {
+      const int left = static_cast<int>(timeout_ms - timer.millis());
+      pollfd pfd{socket_.fd(), POLLIN, 0};
+      if (left <= 0 || ::poll(&pfd, 1, left) <= 0) return std::nullopt;
+      const ssize_t n = recv_some(socket_.fd(), buffer, sizeof buffer);
+      if (n < 0) return std::nullopt;
+      reader_.feed(buffer, static_cast<std::size_t>(n), frames_);
+    }
+    return Json::parse(frames_[next_++]);
+  }
+
+ private:
+  Socket socket_;
+  FrameReader reader_{kDefaultMaxFrameBytes};
+  std::vector<std::string> frames_;
+  std::size_t next_ = 0;
+};
+
+/// Half-open takeover: a second connection resumes a session whose first
+/// connection the daemon still holds. The newest connection wins — the
+/// old one is closed — and the session's events are replayed to the new
+/// one exactly once.
+TEST(ServeDaemon, ResumeTakesOverAHalfOpenConnection) {
+  DaemonFixture fixture({.workers = 1});
+  WireClient old_conn(fixture.daemon->endpoint());
+  ASSERT_FALSE(old_conn.session_token().empty());
+
+  Json frame = submit_frame();
+  frame.set("subscribe", Json(true));
+  const Json accepted = request(old_conn, frame);
+  ASSERT_TRUE(accepted.at("ok").as_bool()) << accepted.dump();
+  // Read every event up to the done: the done was then in the session's
+  // backlog before the takeover below.
+  std::vector<std::string> seen;
+  for (;;) {
+    const auto event = old_conn.recv(30000.0);
+    ASSERT_TRUE(event.has_value());
+    ASSERT_TRUE(event->contains("event")) << event->dump();
+    seen.push_back(event->dump());
+    if (event->at("event").as_string() == "done") break;
+  }
+
+  RawConnection new_conn(fixture.daemon->endpoint());
+  new_conn.send(Json(Json::Object{{"op", Json("resume")},
+                                  {"proto", Json(kWireProtocol)},
+                                  {"token", Json(old_conn.session_token())},
+                                  {"last_seq", Json(std::uint64_t{0})}}));
+  const auto resumed = new_conn.recv(10000.0);
+  ASSERT_TRUE(resumed.has_value());
+  ASSERT_TRUE(resumed->at("ok").as_bool()) << resumed->dump();
+  EXPECT_EQ(static_cast<std::uint64_t>(resumed->at("session").as_int()),
+            old_conn.session());
+  EXPECT_EQ(static_cast<std::size_t>(resumed->at("replayed").as_int()),
+            seen.size());
+  for (const std::string& expected : seen) {
+    const auto replayed = new_conn.recv(10000.0);
+    ASSERT_TRUE(replayed.has_value());
+    EXPECT_EQ(replayed->dump(), expected);
+  }
+  EXPECT_FALSE(new_conn.recv(300.0).has_value());  // nothing twice
+
+  // The daemon closed the old connection: its next read hits EOF.
+  EXPECT_THROW(
+      {
+        while (old_conn.recv(10000.0).has_value()) {
+        }
+      },
+      Error);
+
+  // The session lives on over the new connection.
+  new_conn.send(status_frame(
+      static_cast<std::uint64_t>(accepted.at("job").as_int())));
+  const auto status = new_conn.recv(10000.0);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->at("state").as_string(), "done") << status->dump();
 }
 
 }  // namespace

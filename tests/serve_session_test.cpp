@@ -352,6 +352,11 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
       {"class_not_string", submit_line(",\"class\":3")},
       {"negative_deadline", submit_line(",\"deadline_ms\":-1")},
       {"negative_seed", submit_line(",\"seed\":-4")},
+      // Past 2^63 the integer conversion would be undefined behaviour.
+      {"huge_seed", submit_line(",\"seed\":1e300")},
+      {"huge_construction_seed",
+       submit_line(",\"construction_seed\":1e300")},
+      {"huge_max_evals", submit_line(",\"max_evals\":1e300")},
       {"unknown_key", submit_line(",\"bogus\":1")},
       {"graph_not_object", "{\"op\":\"submit\",\"mapper\":\"spff\","
                            "\"graph\":\"x\"}"},
@@ -424,6 +429,16 @@ TEST(SessionJobs, MissingJobFieldIsABadRequest) {
   answer(session, hello_line());
   const Json response = answer(session, "{\"op\":\"cancel\"}");
   EXPECT_EQ(error_code(response), "bad_request");
+}
+
+TEST(SessionJobs, OutOfRangeJobIdIsABadRequest) {
+  FakeHost host;
+  Session session(1, host);
+  answer(session, hello_line());
+  const Json response =
+      answer(session, "{\"op\":\"status\",\"job\":1e300}");
+  EXPECT_EQ(error_code(response), "bad_request");
+  EXPECT_EQ(session.state(), SessionState::kActive);
 }
 
 // ---- drain -----------------------------------------------------------------

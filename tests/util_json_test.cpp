@@ -32,6 +32,21 @@ TEST(Json, TypeErrorsThrow) {
   EXPECT_THROW(Json().at("k"), Error);
 }
 
+TEST(Json, AsIntRejectsOutOfRange) {
+  // [-2^63, 2^63) is where the conversion to int64_t is defined; outside
+  // it the cast would be undefined behaviour, so as_int refuses.
+  EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json(0x1p62).as_int(), std::int64_t{1} << 62);
+  EXPECT_THROW(Json(0x1p63).as_int(), Error);
+  EXPECT_THROW(Json::parse("9223372036854775808").as_int(), Error);
+  EXPECT_THROW(Json(1e300).as_int(), Error);
+  EXPECT_THROW(Json(-1e300).as_int(), Error);
+  EXPECT_THROW(Json::parse("1e999").as_int(), Error);  // parses to inf
+  EXPECT_THROW(Json(std::nan("")).as_int(), Error);
+}
+
 TEST(Json, ObjectSetAndAt) {
   Json o = Json::object();
   o.set("a", 1);
