@@ -142,6 +142,43 @@ void BM_IncrementalReassign(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalReassign)->Range(16, 4096);
 
+/// One iteration = apply(move) + undo() — the accept layer of the local
+/// searches, next to the probe's number. Every move is probed once first:
+/// in a search each accept follows its probes, and the probes are what
+/// prime the auto-mode route rule that apply() reads.
+void apply_undo_loop(benchmark::State& state, IncrementalEvaluator& inc,
+                     const std::vector<TaskReassignment>& moves) {
+  for (const TaskReassignment& move : moves) inc.probe(move);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(inc.apply(moves[i]));
+    inc.undo();
+    i = (i + 1) & 1023;
+  }
+}
+
+void BM_IncrementalApply(benchmark::State& state) {
+  // BM_IncrementalReassign's saturated case: most accepts take the dense
+  // route (re-record the suffix; undo re-records it again).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  const Dag dag = generate_sp_dag(n, rng);
+  const TaskAttrs attrs = random_task_attrs(dag, rng);
+  const Platform platform = reference_platform();
+  const CostModel cost(dag, attrs, platform);
+  const Evaluator eval(cost);
+  Mapping mapping(n, DeviceId(0u));
+  for (std::size_t i = 0; i < n; i += 4) {
+    mapping.device[i] = DeviceId(1u);
+  }
+  IncrementalEvaluator inc(eval);
+  inc.reset(mapping);
+  apply_undo_loop(state, inc,
+                  random_moves(1024, mapping, platform.device_count(), 12));
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_IncrementalApply)->Range(16, 4096);
+
 void BM_EvaluateMakespanWide(benchmark::State& state) {
   // Full flat evaluation of the wide-workflow many-core case — the
   // denominator of the incremental speedup in that regime.
@@ -177,6 +214,20 @@ void BM_IncrementalReassignWide(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(c.dag.node_count()));
 }
 BENCHMARK(BM_IncrementalReassignWide)->Range(256, 4096);
+
+void BM_IncrementalApplyWide(benchmark::State& state) {
+  // The accept layer on BM_IncrementalReassignWide's case.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  WideCase c(n, 8);
+  const CostModel cost(c.dag, c.attrs, c.platform);
+  const Evaluator eval(cost);
+  IncrementalEvaluator inc(eval);
+  inc.reset(c.mapping);
+  apply_undo_loop(state, inc,
+                  random_moves(1024, c.mapping, c.platform.device_count(), 12));
+  state.SetComplexityN(static_cast<std::int64_t>(c.dag.node_count()));
+}
+BENCHMARK(BM_IncrementalApplyWide)->Range(256, 4096);
 
 void BM_EvaluateBatch(benchmark::State& state) {
   // args: nodes, worker threads. Batch of 64 candidate mappings per call —

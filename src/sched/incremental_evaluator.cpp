@@ -101,6 +101,12 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
   probe_finish_.resize(n_);
   probe_tag_.assign(n_, 0);
   probe_epoch_ = 0;
+  in_src_pos_.resize(flat.edge_count());
+  for (std::uint32_t k = 0; k < flat.edge_count(); ++k) {
+    in_src_pos_[k] = pos_[in_src_[k]];
+  }
+  work_start_.resize(n_);
+  work_finish_.resize(n_);
 
   reset(Mapping(n_, platform.default_device()));
 }
@@ -179,21 +185,7 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
   frames_.clear();
   apply_count_ = 0;
   probe_count_ = 0;
-  full_recording_sweep();
-
-  std::fill(block_slot_uses_.begin(), block_slot_uses_.end(), 0);
-  std::fill(block_link_uses_.begin(), block_link_uses_.end(), 0);
-  std::fill(total_slot_uses_.begin(), total_slot_uses_.end(), 0);
-  std::fill(total_link_uses_.begin(), total_link_uses_.end(), 0);
-  for (std::size_t p = 0; p < n_; ++p) {
-    const Evaluator::PlanNode pn = (*plan_)[p];
-    if (!streamed_[p]) bump_slot_use(p, mapping_.device[pn.node].v, true);
-    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-      if (!edge_xfer_[k]) continue;
-      bump_link_use(p, mapping_.device[in_src_[k]].v, true);
-      bump_link_use(p, mapping_.device[pn.node].v, true);
-    }
-  }
+  record_suffix(0);
 
   const CostModel& cost = eval_->cost();
   over_budget_count_ = 0;
@@ -206,63 +198,30 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
   return makespan();
 }
 
-void IncrementalEvaluator::full_recording_sweep() {
-  std::fill(cur_slot_.begin(), cur_slot_.end(), 0.0);
-  std::fill(cur_link_.begin(), cur_link_.end(), 0.0);
-  double run_max = 0.0;
-  const Evaluator::WalkPlan& plan = *plan_;
-  for (std::size_t p = 0; p < n_; ++p) {
-    if (p % kStride == 0) {
-      double* ck = checkpoints_.data() + (p / kStride) * (s_total_ + m_);
-      std::copy(cur_slot_.begin(), cur_slot_.end(), ck);
-      std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
-    }
-    const Evaluator::PlanNode pn = plan[p];
-    const std::uint32_t u = pn.node;
-    const std::uint32_t d = mapping_.device[u].v;
-    const bool dev_fpga = is_fpga_[d] != 0;
-    double ready = 0.0;
-    bool streamed_in = false;
-    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-      const std::uint32_t s = in_src_[k];
-      const std::uint32_t ds = mapping_.device[s].v;
-      if (ds == d) {
-        if (dev_fpga) {
-          ready = std::max(ready, start_[s] + fill_[d] * exec_[s * m_ + d]);
-          streamed_in = true;
-        } else {
-          ready = std::max(ready, finish_[s]);
-        }
-        edge_xfer_[k] = 0;
-        edge_arrival_[k] = 0.0;
-      } else {
-        const std::size_t li = ds * m_ + d;
-        const double transfer = lat_[li] + in_mb1000_[k] / bw_[li];
-        const double t_start =
-            std::max({finish_[s], cur_link_[ds], cur_link_[d]});
-        const double arrival = t_start + transfer;
-        cur_link_[ds] = arrival;
-        cur_link_[d] = arrival;
-        ready = std::max(ready, arrival);
-        edge_xfer_[k] = 1;
-        edge_arrival_[k] = arrival;
-      }
-    }
-    const double exec_v = exec_[pn.exec_offset + d];
-    double start_v;
-    if (streamed_in) {
-      start_v = ready;
-    } else {
-      start_v = std::max(ready, cur_slot_[slot_offset_[d]]);
-      pop_min_insert(cur_slot_.data(), d, start_v + exec_v);
-    }
-    streamed_[p] = streamed_in ? 1 : 0;
-    start_[u] = start_v;
-    finish_[u] = start_v + exec_v;
-    run_max = std::max(run_max, finish_[u]);
-    prefix_max_[p] = run_max;
+void IncrementalEvaluator::record_suffix(std::size_t p0) {
+  // Use counts: drop every block from p0's on, then recount them — the
+  // positions of p0's block that precede p0 here, the rest in the sweep.
+  const std::size_t c0 = p0 / kStride;
+  for (std::size_t i = c0 * m_; i < blocks_ * m_; ++i) {
+    total_slot_uses_[i % m_] -= block_slot_uses_[i];
+    total_link_uses_[i % m_] -= block_link_uses_[i];
+    block_slot_uses_[i] = 0;
+    block_link_uses_[i] = 0;
   }
-  makespan_value_ = run_max;
+  const Evaluator::WalkPlan& plan = *plan_;
+  for (std::size_t p = c0 * kStride; p < p0; ++p) {
+    const Evaluator::PlanNode pn = plan[p];
+    const std::uint32_t d = mapping_.device[pn.node].v;
+    if (!streamed_[p]) bump_slot_use(p, d, true);
+    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
+      if (!edge_xfer_[k]) continue;
+      bump_link_use(p, mapping_.device[in_src_[k]].v, true);
+      bump_link_use(p, d, true);
+    }
+  }
+  reconstruct_cur_state(p0);
+  makespan_value_ =
+      sweep_suffix<true>(p0, p0 == 0 ? 0.0 : prefix_max_[p0 - 1]);
 }
 
 void IncrementalEvaluator::reconstruct_state(std::size_t p0) {
@@ -593,9 +552,10 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   SPMAP_ASSERT(move.node.v < n_);
   SPMAP_ASSERT(move.device.v < m_);
   ++apply_count_;
+  // The spare frame's vectors keep their capacity across apply/commit
+  // pairs, so accept-heavy searches stay allocation-free as well.
   spare_.reset_keep_capacity();
   frames_.push_back(std::move(spare_));
-  spare_ = UndoFrame{};
   UndoFrame& frame = frames_.back();
   frame.node = move.node.v;
   frame.old_device = mapping_.device[move.node.v].v;
@@ -607,12 +567,23 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   frame.noop = false;
 
   mapping_.device[move.node.v] = move.device;
-  shift_move_uses(move.node.v, frame.old_device, move.device.v);
   move_area(frame, move.node, frame.old_device, move.device.v);
+  const std::size_t p0 = pos_[move.node.v];
+  if (sweep_wins()) {
+    // Dense route: the probe rule says the suffix cascades, so re-record it
+    // with the plain sweep instead of paying skip detection and an undo log
+    // for nearly every position. Undo re-records the same suffix.
+    frame.dense = true;
+    record_suffix(p0);
+    last_replayed_ = n_ - p0;
+    last_recomputed_ = n_ - p0;
+    return makespan();
+  }
+  shift_move_uses(move.node.v, frame.old_device, move.device.v);
+  work_clean_ = std::min(work_clean_, p0);
 
   moved_ = move.node.v;
   moved_old_dev_ = frame.old_device;
-  const std::size_t p0 = pos_[moved_];
   reconstruct_state(p0);
   limit_ = last_consumer_pos_[moved_];
   double run_max = p0 == 0 ? 0.0 : prefix_max_[p0 - 1];
@@ -844,17 +815,24 @@ void IncrementalEvaluator::reconstruct_cur_state(std::size_t p0) {
   }
 }
 
-double IncrementalEvaluator::fallback_suffix_sweep(std::size_t p0,
-                                                   double run_max) {
-  // The hot loop of the suffix-sweep probe path. Same arithmetic in the
-  // same order as plain_suffix_sweep / Evaluator::evaluate_plan, but the
-  // overlay is known clean here: a source's time is committed when its
-  // position precedes p0 and this sweep's own output otherwise, so every
-  // read resolves by one position compare and the overlay tags are never
-  // touched. The __restrict locals keep the compiler from reloading
-  // topology tables around the probe_/link state stores.
+template <bool kRecord>
+double IncrementalEvaluator::sweep_suffix(std::size_t p0, double run_max) {
+  // The plain sweep over [p0, n): the same arithmetic in the same order as
+  // Evaluator::evaluate_plan. Source times are read by walk position from
+  // the working arrays, whose prefix below p0 holds the committed times
+  // once the stale part is re-synced here, so every read is one indexed
+  // load with no committed-or-fresh choice. The __restrict locals keep the
+  // compiler from reloading topology tables around the state stores.
   const Evaluator::WalkPlan& plan = *plan_;
+  for (std::size_t q = work_clean_; q < p0; ++q) {
+    work_start_[q] = start_[plan[q].node];
+    work_finish_[q] = finish_[plan[q].node];
+  }
+  // Recording leaves committed times everywhere; a probe leaves its own
+  // from p0 on.
+  work_clean_ = kRecord ? n_ : p0;
   const std::uint32_t* __restrict in_src = in_src_;
+  const std::uint32_t* __restrict in_src_pos = in_src_pos_.data();
   const double* __restrict in_mb = in_mb1000_;
   const double* __restrict exec = exec_;
   const double* __restrict lat = lat_;
@@ -862,17 +840,20 @@ double IncrementalEvaluator::fallback_suffix_sweep(std::size_t p0,
   const double* __restrict fill = fill_;
   const std::uint8_t* __restrict is_fpga = is_fpga_;
   const std::size_t* __restrict slot_off = slot_offset_;
-  const std::uint32_t* __restrict posv = pos_.data();
-  const double* __restrict cstart = start_.data();
-  const double* __restrict cfinish = finish_.data();
-  double* __restrict pstart = probe_start_.data();
-  double* __restrict pfinish = probe_finish_.data();
+  double* __restrict wstart = work_start_.data();
+  double* __restrict wfinish = work_finish_.data();
   double* __restrict slots = cur_slot_.data();
   double* __restrict links = cur_link_.data();
   const DeviceId* __restrict dev = mapping_.device.data();
-  const std::uint32_t pos0 = static_cast<std::uint32_t>(p0);
   const std::size_t m = m_;
   for (std::size_t p = p0; p < n_; ++p) {
+    if constexpr (kRecord) {
+      if (p % kStride == 0) {
+        double* ck = checkpoints_.data() + (p / kStride) * (s_total_ + m);
+        std::copy(slots, slots + s_total_, ck);
+        std::copy(links, links + m, ck + s_total_);
+      }
+    }
     const Evaluator::PlanNode pn = plan[p];
     const std::uint32_t u = pn.node;
     const std::uint32_t d = dev[u].v;
@@ -881,25 +862,33 @@ double IncrementalEvaluator::fallback_suffix_sweep(std::size_t p0,
     bool streamed_in = false;
     for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
       const std::uint32_t s = in_src[k];
+      const std::uint32_t sp = in_src_pos[k];
       const std::uint32_t ds = dev[s].v;
-      const bool fresh = posv[s] >= pos0;
       if (ds == d) {
         if (dev_fpga) {
-          const double s_start = fresh ? pstart[s] : cstart[s];
-          ready = std::max(ready, s_start + fill[d] * exec[s * m + d]);
+          ready = std::max(ready, wstart[sp] + fill[d] * exec[s * m + d]);
           streamed_in = true;
         } else {
-          ready = std::max(ready, fresh ? pfinish[s] : cfinish[s]);
+          ready = std::max(ready, wfinish[sp]);
+        }
+        if constexpr (kRecord) {
+          edge_xfer_[k] = 0;
+          edge_arrival_[k] = 0.0;
         }
       } else {
-        const double s_fin = fresh ? pfinish[s] : cfinish[s];
         const std::size_t li = ds * m + d;
         const double transfer = lat[li] + in_mb[k] / bw[li];
-        const double t_start = std::max({s_fin, links[ds], links[d]});
+        const double t_start = std::max({wfinish[sp], links[ds], links[d]});
         const double arrival = t_start + transfer;
         links[ds] = arrival;
         links[d] = arrival;
         ready = std::max(ready, arrival);
+        if constexpr (kRecord) {
+          edge_xfer_[k] = 1;
+          edge_arrival_[k] = arrival;
+          bump_link_use(p, ds, true);
+          bump_link_use(p, d, true);
+        }
       }
     }
     const double exec_v = exec[pn.exec_offset + d];
@@ -917,15 +906,23 @@ double IncrementalEvaluator::fallback_suffix_sweep(std::size_t p0,
       std::size_t i = b;
       for (; i + 1 < e && slots[i + 1] < fin; ++i) slots[i] = slots[i + 1];
       slots[i] = fin;
+      if constexpr (kRecord) bump_slot_use(p, d, true);
     }
-    pstart[u] = start_v;
-    pfinish[u] = start_v + exec_v;
-    run_max = std::max(run_max, start_v + exec_v);
+    const double finish_v = start_v + exec_v;
+    wstart[p] = start_v;
+    wfinish[p] = finish_v;
+    run_max = std::max(run_max, finish_v);
+    if constexpr (kRecord) {
+      streamed_[p] = streamed_in ? 1 : 0;
+      start_[u] = start_v;
+      finish_[u] = finish_v;
+      prefix_max_[p] = run_max;
+    }
   }
   return run_max;
 }
 
-bool IncrementalEvaluator::choose_fallback() {
+bool IncrementalEvaluator::sweep_wins() const {
   switch (probe_mode_) {
     case ProbeMode::kForceIncremental: return false;
     case ProbeMode::kForceFallback: return true;
@@ -933,7 +930,12 @@ bool IncrementalEvaluator::choose_fallback() {
   }
   // The sweep costs one unit per suffix position, so it wins exactly when
   // the incremental path's recent units exceed their suffix lengths.
-  if (inc_units_sum_ <= inc_suffix_sum_) return false;
+  return inc_units_sum_ > inc_suffix_sum_;
+}
+
+bool IncrementalEvaluator::choose_fallback() {
+  if (!sweep_wins()) return false;
+  if (probe_mode_ == ProbeMode::kForceFallback) return true;
   // Periodic incremental resample so the estimate follows the mapping.
   if (++probes_since_resample_ < kResampleEvery) return true;
   probes_since_resample_ = 0;
@@ -984,7 +986,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     last_probe_fallback_ = true;
     ++fb_probes_;
     reconstruct_cur_state(p0);
-    run_max = fallback_suffix_sweep(p0, run_max);
+    run_max = sweep_suffix<false>(p0, run_max);
     const std::size_t suffix = n_ - p0;
     fb_swept_total_ += suffix;
     last_replayed_ = suffix;
@@ -1065,7 +1067,7 @@ void IncrementalEvaluator::undo() {
   UndoFrame& frame = frames_.back();
   makespan_value_ = frame.old_makespan;
   over_budget_count_ = frame.old_over_budget;
-  if (!frame.noop) {
+  if (!frame.noop && !frame.dense) {
     // Reverse the step-level mutations first (the use-count bookkeeping of
     // the records was done under the post-move mapping), then the move.
     for (auto it = frame.times.rbegin(); it != frame.times.rend(); ++it) {
@@ -1105,12 +1107,17 @@ void IncrementalEvaluator::undo() {
          ++it) {
       checkpoints_[it->first] = it->second;
     }
+    shift_move_uses(frame.node, mapping_.device[frame.node].v,
+                    frame.old_device);
+    work_clean_ = std::min<std::size_t>(work_clean_, pos_[frame.node]);
+  }
+  if (!frame.noop) {
     for (auto it = frame.areas.rbegin(); it != frame.areas.rend(); ++it) {
       area_used_[it->first] = it->second;
     }
-    shift_move_uses(frame.node, mapping_.device[frame.node].v,
-                    frame.old_device);
     mapping_.device[frame.node] = DeviceId(frame.old_device);
+    // A dense frame logged no records: re-record them for the old mapping.
+    if (frame.dense) record_suffix(pos_[frame.node]);
   }
   // Recycle the frame's storage for the next apply (probe loops allocate
   // nothing in steady state).
@@ -1119,6 +1126,11 @@ void IncrementalEvaluator::undo() {
   frames_.pop_back();
 }
 
-void IncrementalEvaluator::commit() { frames_.clear(); }
+void IncrementalEvaluator::commit() {
+  if (frames_.empty()) return;
+  // Keep the newest frame's storage for the next apply.
+  spare_ = std::move(frames_.back());
+  frames_.clear();
+}
 
 }  // namespace spmap

@@ -13,7 +13,9 @@
 /// are untouched and terminating as soon as the perturbation has been
 /// absorbed (typically at the next series join of the graph). An undo stack
 /// records exactly the entries each apply changed, so a search can
-/// speculatively probe and roll back in O(affected suffix).
+/// speculatively probe and roll back in O(affected suffix). Where
+/// perturbations cascade to the end anyway, apply takes a dense route that
+/// re-records the suffix instead (see "The hybrid probe").
 ///
 /// ## Exactness
 ///
@@ -55,10 +57,12 @@
 ///  * **suffix sweep** — rebuild the (slot, link) state at the move's
 ///    position from the nearest committed checkpoint (at most kStride
 ///    committed-record replays, no skip machinery, no use counters) and
-///    re-simulate the suffix with the plain branch-light sweep. Cost is
-///    ~(n - p0) sweep positions, i.e. *half* a full sweep for a uniformly
-///    random move — strictly cheaper than full re-evaluation, with no
-///    delta bookkeeping to lose to.
+///    re-simulate the suffix with the plain branch-light sweep, which reads
+///    source times by walk position from a working copy (the committed
+///    times below the move, its own output above). Cost is ~(n - p0)
+///    sweep positions, i.e. *half* a full sweep for a uniformly random
+///    move — strictly cheaper than full re-evaluation, with no delta
+///    bookkeeping to lose to.
 ///
 /// In `ProbeMode::kAuto` (the default) the route is a pure function of the
 /// probe stream — counts the engine produces anyway, never wall time — so
@@ -75,8 +79,24 @@
 /// still runs incrementally so the estimate follows the mapping as the
 /// search moves it. Both paths return bit-identical values
 /// (tests/property_incremental_test.cpp forces each and compares), so the
-/// mode only affects speed, never results. `apply()` always runs
-/// incrementally — it must maintain the committed records.
+/// mode only affects speed, never results.
+///
+/// `apply()` takes the route the same rule picks, reading the sums without
+/// bumping any counter (so applies never change the probes' routes):
+///
+///  * **incremental** (kForceIncremental, or kAuto while Σunits <= Σsuffix)
+///    — the skip-detecting replay, logging every changed record in its
+///    undo frame;
+///  * **dense** (kForceFallback, or kAuto while Σunits > Σsuffix) — the
+///    plain sweep re-records the whole suffix from the move's position:
+///    times, transfer records, prefix max, later checkpoints and the use
+///    counts of the touched blocks. Its undo frame holds only the move and
+///    the FPGA areas; undo restores those and re-records the same suffix.
+///    `last_replayed()` is then the suffix length.
+///
+/// Every route leaves the committed records in the one canonical form a
+/// full recording sweep produces, so frames of both kinds stack and undo
+/// in any order.
 ///
 /// ## Thread-safety
 ///
@@ -182,14 +202,15 @@ class IncrementalEvaluator {
   std::size_t probe_count() const { return probe_count_; }
 
   /// Positions walked (skip-checked or recomputed) by the last apply() —
-  /// the size of the affected suffix actually visited.
+  /// the size of the affected suffix actually visited; after a dense-route
+  /// apply (see "The hybrid probe"), the suffix length n - p0.
   std::size_t last_replayed() const { return last_replayed_; }
   /// Positions fully recomputed by the last apply().
   std::size_t last_recomputed() const { return last_recomputed_; }
 
-  /// Selects the probe path (see "The hybrid probe" above). Results are
-  /// bit-identical in every mode; forced modes exist for tests and
-  /// measurement.
+  /// Selects the probe and apply paths (see "The hybrid probe" above).
+  /// Results are bit-identical in every mode; forced modes exist for tests
+  /// and measurement.
   void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
   ProbeMode probe_mode() const { return probe_mode_; }
 
@@ -227,6 +248,9 @@ class IncrementalEvaluator {
     double old_makespan = 0.0;
     int old_over_budget = 0;
     bool noop = true;
+    /// Applied by the dense route: only the move and the areas are logged,
+    /// and undo re-records the suffix instead of replaying a log.
+    bool dense = false;
     /// Old start/finish of every node whose times changed.
     struct TimeRec {
       std::uint32_t node;
@@ -254,6 +278,7 @@ class IncrementalEvaluator {
 
     void reset_keep_capacity() {
       noop = true;
+      dense = false;
       times.clear();
       streams.clear();
       edges.clear();
@@ -264,7 +289,22 @@ class IncrementalEvaluator {
     }
   };
 
-  void full_recording_sweep();
+  /// Re-records the committed state from position `p0` on for the current
+  /// mapping: rebuilds the (slot, link) state at p0 from its checkpoint,
+  /// re-simulates [p0, n) with the plain sweep while rewriting every
+  /// committed record (times, streamed flags, transfer records, prefix max,
+  /// the checkpoints of later blocks) and recounts the use counts of every
+  /// block from p0 / kStride on. Positions before p0 must be committed for
+  /// the current mapping.
+  void record_suffix(std::size_t p0);
+  /// The plain sweep over [p0, n) on the cur state, starting from the
+  /// running max `run_max`; returns the folded makespan. Reads and writes
+  /// times by position in work_start_/work_finish_, first re-syncing their
+  /// stale prefix below p0 from the committed times. With kRecord it also
+  /// rewrites the committed records and counts uses (record_suffix);
+  /// without, nothing committed is touched (the suffix-sweep probe).
+  template <bool kRecord>
+  double sweep_suffix(std::size_t p0, double run_max);
   /// Replays committed records to rebuild the (slot, link) state at
   /// position `p0` into base_*, then copies it to cur_* and seeds the
   /// seen-use counters for the prefix.
@@ -282,15 +322,15 @@ class IncrementalEvaluator {
   /// delta bookkeeping across the whole suffix. Overlay-aware (eff_* reads):
   /// positions before `p` may hold overlay times from earlier probe_steps.
   double plain_suffix_sweep(std::size_t p, double run_max);
-  /// The suffix-sweep probe path's inner loop: like plain_suffix_sweep but
-  /// entered with a clean overlay (nothing before `p0` was recomputed), so
-  /// source times resolve by position compare — committed below p0, this
-  /// sweep's own output at or above — with no overlay tags written or read.
-  double fallback_suffix_sweep(std::size_t p0, double run_max);
-  /// Rebuilds only the cur (slot, link) state at position `p0` — the
-  /// suffix-sweep path needs no base state and no seen-use counters, so
-  /// this is the slim sibling of reconstruct_state().
+  /// Rebuilds only the cur (slot, link) state at position `p0` — the plain
+  /// suffix sweeps (probe and record_suffix) need no base state and no
+  /// seen-use counters, so this is the slim sibling of reconstruct_state().
   void reconstruct_cur_state(std::size_t p0);
+  /// True while the mode sends suffix work to the plain sweep: always in
+  /// kForceFallback, never in kForceIncremental, and in kAuto while the
+  /// priced incremental probes cost more than their suffixes. apply() reads
+  /// it as is; probe() adds the periodic resample (choose_fallback).
+  bool sweep_wins() const;
   /// Auto-mode routing for one probe: true to take the suffix-sweep path.
   bool choose_fallback();
   /// Effective (overlay-aware) times during a probe.
@@ -347,6 +387,7 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> pos_;                // node -> walk position
   std::vector<std::uint32_t> last_consumer_pos_;  // node -> max consumer pos
   std::vector<std::uint32_t> out_in_slot_;  // out-CSR index -> in-edge slot
+  std::vector<std::uint32_t> in_src_pos_;   // in-edge slot -> source position
   std::vector<double> budget_;                    // per device (FPGAs)
   double area_eps_ = 0.0;
   std::size_t blocks_ = 0;  // checkpoint block count
@@ -406,12 +447,20 @@ class IncrementalEvaluator {
   std::vector<double> probe_start_, probe_finish_;
   std::vector<std::uint32_t> probe_tag_;
   std::uint32_t probe_epoch_ = 0;
+  /// Position-indexed times of sweep_suffix. Positions below work_clean_
+  /// hold the committed times; a sweep from p0 leaves its own from p0 on
+  /// (the committed ones when recording). Committed changes from p0 on
+  /// lower the watermark to p0.
+  std::vector<double> work_start_, work_finish_;
+  std::size_t work_clean_ = 0;
   std::uint32_t moved_ = kNoDevice;
   std::uint32_t moved_old_dev_ = kNoDevice;
   std::size_t limit_ = 0;
 
   std::vector<UndoFrame> frames_;
-  UndoFrame spare_;  // recycled frame: probe loops stay allocation-free
+  /// Recycled frame (undo and commit hand theirs back): probe and accept
+  /// loops stay allocation-free.
+  UndoFrame spare_;
 };
 
 }  // namespace spmap

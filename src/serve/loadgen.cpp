@@ -76,7 +76,8 @@ RequestSpec request_spec(const LoadgenOptions& options, std::uint64_t index,
   std::uint64_t state =
       options.seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
   // 53-bit seeds: wire numbers are doubles, so only these survive the
-  // trip to the daemon exactly (and larger ones are refused past 2^63).
+  // trip to the daemon exactly (Json refuses to encode larger integers,
+  // and the daemon to accept them).
   RequestSpec spec;
   spec.generate_seed = splitmix64(state) >> 11;
   spec.construction_seed = splitmix64(state) >> 11;

@@ -29,6 +29,11 @@ std::int64_t Json::as_int() const {
   return static_cast<std::int64_t>(d);
 }
 
+void Json::refuse_inexact(const std::string& value) {
+  throw Error("Json: integer " + value +
+              " is larger than 2^53 in magnitude and has no exact double");
+}
+
 const std::string& Json::as_string() const {
   require(is_string(), "Json: not a string");
   return std::get<std::string>(value_);

@@ -23,13 +23,19 @@ class Json {
   using Array = std::vector<Json>;
   using Object = std::vector<std::pair<std::string, Json>>;  // ordered
 
+  /// 2^53: every integer up to this magnitude is exact as a double.
+  static constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
   Json() : value_(nullptr) {}
   Json(std::nullptr_t) : value_(nullptr) {}
   Json(bool b) : value_(b) {}
   Json(double d) : value_(d) {}
   Json(int i) : value_(static_cast<double>(i)) {}
-  Json(std::int64_t i) : value_(static_cast<double>(i)) {}
-  Json(std::size_t i) : value_(static_cast<double>(i)) {}
+  /// 64-bit integers must fit a double exactly: |i| > kMaxExactInteger
+  /// throws spmap::Error naming the value, instead of sending a different
+  /// number.
+  Json(std::int64_t i) : value_(exact_double(i)) {}
+  Json(std::size_t i) : value_(exact_double(i)) {}
   Json(const char* s) : value_(std::string(s)) {}
   Json(std::string s) : value_(std::move(s)) {}
   Json(Array a) : value_(std::move(a)) {}
@@ -85,6 +91,19 @@ class Json {
                     const std::vector<std::string>& accepted) const;
 
  private:
+  static double exact_double(std::int64_t i) {
+    if (i > static_cast<std::int64_t>(kMaxExactInteger) ||
+        i < -static_cast<std::int64_t>(kMaxExactInteger)) {
+      refuse_inexact(std::to_string(i));
+    }
+    return static_cast<double>(i);
+  }
+  static double exact_double(std::size_t i) {
+    if (i > kMaxExactInteger) refuse_inexact(std::to_string(i));
+    return static_cast<double>(i);
+  }
+  [[noreturn]] static void refuse_inexact(const std::string& value);
+
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
   void dump_to(std::string& out, int indent, int depth) const;

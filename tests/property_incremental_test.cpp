@@ -10,9 +10,12 @@
 /// and every hybrid probe mode: kAuto (the deterministic position-count
 /// rule), kForceIncremental and kForceFallback. Agreement in the forced
 /// modes proves each probe path is bit-identical on its own, not just
-/// whichever one the rule happens to pick. The routing tests at the end pin
-/// the rule itself: the same probe stream takes the same route on every
-/// engine, and the auto-mode grid exercises both paths on each platform.
+/// whichever one the rule happens to pick. Applies follow the same rule
+/// (logged replay or dense re-record); a mixed-route test stacks both kinds
+/// of undo frame and checks that unwinding them restores the canonical
+/// records. The routing tests at the end pin the rule itself: the same
+/// probe stream takes the same route on every engine, and the auto-mode
+/// grid exercises both paths on each platform.
 
 #include <gtest/gtest.h>
 
@@ -202,6 +205,55 @@ TEST_P(IncrementalProperty, CommitKeepsStateAndClearsHistory) {
 
 constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
 constexpr ProbeMode kFb = ProbeMode::kForceFallback;
+
+TEST_P(IncrementalProperty, MixedApplyRoutesUndoToCanonicalState) {
+  // Switching the mode from one apply to the next stacks dense frames
+  // (kForceFallback: the suffix is re-recorded) both under and over logged
+  // frames (kForceIncremental: the changed records are logged).
+  IncrementalEvaluator inc(*eval_);
+  const Mapping initial = random_feasible_mapping(*cost_, rng_);
+  inc.reset(initial);
+  std::vector<Mapping> history{initial};
+  for (std::size_t i = 0; i < GetParam().moves; ++i) {
+    inc.set_probe_mode(rng_.chance(0.5) ? kFb : kInc);
+    if (inc.depth() > 0 && rng_.chance(0.2)) {
+      inc.undo();
+      history.pop_back();
+    } else {
+      const NodeId node(static_cast<std::uint32_t>(rng_.below(dag_.node_count())));
+      const DeviceId device(
+          static_cast<std::uint32_t>(rng_.below(platform_.device_count())));
+      inc.apply({node, device});
+      Mapping next = history.back();
+      next[node] = device;
+      history.push_back(std::move(next));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, history.back()));
+  }
+  while (inc.depth() > 0) {
+    inc.undo();
+    history.pop_back();
+    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, history.back()));
+  }
+  ASSERT_EQ(history.size(), 1u);
+
+  // Times alone do not show that the use counts and checkpoints came back
+  // canonical; the skip-detecting probe reads both (its early exit and its
+  // state reconstruction), so it must walk exactly like it does on a
+  // freshly reset engine.
+  IncrementalEvaluator fresh(*eval_);
+  fresh.reset(initial);
+  inc.set_probe_mode(kInc);
+  fresh.set_probe_mode(kInc);
+  Rng probe_rng(GetParam().seed + 1000);
+  for (std::size_t i = 0; i < 64; ++i) {
+    const TaskReassignment move =
+        random_reassignment(initial, platform_.device_count(), probe_rng);
+    EXPECT_EQ(inc.probe(move), fresh.probe(move));
+    EXPECT_EQ(inc.last_replayed(), fresh.last_replayed());
+    EXPECT_EQ(inc.last_recomputed(), fresh.last_recomputed());
+  }
+}
 
 const IncCase kGrid[] = {
     // Paper platform, auto routing (the production configuration).

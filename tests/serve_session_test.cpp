@@ -357,6 +357,12 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
       {"huge_construction_seed",
        submit_line(",\"construction_seed\":1e300")},
       {"huge_max_evals", submit_line(",\"max_evals\":1e300")},
+      // Above 2^53 the journal echo (to_json) could not encode it exactly.
+      {"seed_above_2p53", submit_line(",\"seed\":9007199254740994")},
+      {"construction_seed_above_2p53",
+       submit_line(",\"construction_seed\":9007199254740994")},
+      {"max_evals_above_2p53",
+       submit_line(",\"max_evals\":9007199254740994")},
       {"unknown_key", submit_line(",\"bogus\":1")},
       {"graph_not_object", "{\"op\":\"submit\",\"mapper\":\"spff\","
                            "\"graph\":\"x\"}"},
@@ -371,6 +377,27 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
     EXPECT_EQ(session.state(), SessionState::kActive) << c.name;
     EXPECT_TRUE(host.submits.empty()) << c.name;
   }
+}
+
+TEST(SessionSubmit, SeedsUpTo2Pow53EchoExactly) {
+  // The largest accepted seeds survive decode and the journal echo.
+  FakeHost host;
+  Session session(1, host);
+  answer(session, hello_line());
+  const Json response = answer(
+      session, submit_line(",\"seed\":9007199254740992,"
+                           "\"construction_seed\":9007199254740992"));
+  EXPECT_TRUE(response.at("ok").as_bool());
+  ASSERT_EQ(host.submits.size(), 1u);
+  const WireSubmit& seen = host.submits[0];
+  ASSERT_TRUE(seen.seed.has_value());
+  ASSERT_TRUE(seen.construction_seed.has_value());
+  EXPECT_EQ(*seen.seed, std::uint64_t{1} << 53);
+  EXPECT_EQ(*seen.construction_seed, std::uint64_t{1} << 53);
+  const WireSubmit echoed =
+      wire_submit_from_json(Json::parse(to_json(seen).dump()));
+  EXPECT_EQ(echoed.seed, seen.seed);
+  EXPECT_EQ(echoed.construction_seed, seen.construction_seed);
 }
 
 TEST(SessionSubmit, HostRejectionIsForwardedVerbatim) {

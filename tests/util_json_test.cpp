@@ -47,6 +47,33 @@ TEST(Json, AsIntRejectsOutOfRange) {
   EXPECT_THROW(Json(std::nan("")).as_int(), Error);
 }
 
+TEST(Json, IntegerConstructorsAreExactOrRefuse) {
+  // Up to 2^53 every integer has an exact double, so it round-trips.
+  constexpr std::uint64_t kMax = std::uint64_t{1} << 53;
+  EXPECT_EQ(Json::kMaxExactInteger, kMax);
+  const Json unsigned_max(static_cast<std::size_t>(kMax));
+  EXPECT_EQ(unsigned_max.dump(), "9007199254740992");
+  EXPECT_EQ(Json::parse(unsigned_max.dump()).as_int(),
+            static_cast<std::int64_t>(kMax));
+  const Json signed_min(-static_cast<std::int64_t>(kMax));
+  EXPECT_EQ(signed_min.dump(), "-9007199254740992");
+  EXPECT_EQ(Json::parse(signed_min.dump()).as_int(),
+            -static_cast<std::int64_t>(kMax));
+  // One past it would be sent as 2^53: refused, naming the value.
+  try {
+    Json refused(static_cast<std::size_t>(kMax + 1));
+    ADD_FAILURE() << "2^53 + 1 was accepted as " << refused.dump();
+  } catch (const Error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("9007199254740993"),
+              std::string::npos)
+        << ex.what();
+  }
+  EXPECT_THROW(Json(static_cast<std::int64_t>(kMax + 1)), Error);
+  EXPECT_THROW(Json(-static_cast<std::int64_t>(kMax + 1)), Error);
+  EXPECT_THROW(Json(std::numeric_limits<std::size_t>::max()), Error);
+  EXPECT_THROW(Json(std::numeric_limits<std::int64_t>::min()), Error);
+}
+
 TEST(Json, ObjectSetAndAt) {
   Json o = Json::object();
   o.set("a", 1);
