@@ -143,12 +143,9 @@ void BM_IncrementalReassign(benchmark::State& state) {
 BENCHMARK(BM_IncrementalReassign)->Range(16, 4096);
 
 /// One iteration = apply(move) + undo() — the accept layer of the local
-/// searches, next to the probe's number. Every move is probed once first:
-/// in a search each accept follows its probes, and the probes are what
-/// prime the auto-mode route rule that apply() reads.
+/// searches, next to the probe's number. Both re-record the move's suffix.
 void apply_undo_loop(benchmark::State& state, IncrementalEvaluator& inc,
                      const std::vector<TaskReassignment>& moves) {
-  for (const TaskReassignment& move : moves) inc.probe(move);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(inc.apply(moves[i]));
@@ -158,8 +155,7 @@ void apply_undo_loop(benchmark::State& state, IncrementalEvaluator& inc,
 }
 
 void BM_IncrementalApply(benchmark::State& state) {
-  // BM_IncrementalReassign's saturated case: most accepts take the dense
-  // route (re-record the suffix; undo re-records it again).
+  // BM_IncrementalReassign's saturated case.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
   const Dag dag = generate_sp_dag(n, rng);

@@ -42,18 +42,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
     }
     last_consumer_pos_[v] = last;
   }
-  // Out-CSR slot -> in-CSR slot of the same Dag edge, so a node's out-edges
-  // can reach the per-in-edge transfer records.
-  {
-    std::vector<std::uint32_t> in_slot_of_edge(flat.edge_count());
-    for (std::uint32_t k = 0; k < flat.edge_count(); ++k) {
-      in_slot_of_edge[flat.in_edge(k).v] = k;
-    }
-    out_in_slot_.resize(flat.edge_count());
-    for (std::uint32_t j = 0; j < flat.edge_count(); ++j) {
-      out_in_slot_[j] = in_slot_of_edge[flat.out_edge(j).v];
-    }
-  }
 
   const CostModel& cost = eval.cost();
   const Platform& platform = cost.platform();
@@ -138,45 +126,14 @@ void IncrementalEvaluator::pop_min_insert(double* slots, std::uint32_t device,
   slots[b + rank] = value;
 }
 
-void IncrementalEvaluator::bump_slot_use(std::size_t p, std::uint32_t device,
-                                         bool add) {
-  const std::uint32_t delta = add ? 1 : ~0u;
-  block_slot_uses_[(p / kStride) * m_ + device] += delta;
-  total_slot_uses_[device] += delta;
+void IncrementalEvaluator::add_slot_use(std::size_t p, std::uint32_t device) {
+  ++block_slot_uses_[(p / kStride) * m_ + device];
+  ++total_slot_uses_[device];
 }
 
-void IncrementalEvaluator::bump_link_use(std::size_t p, std::uint32_t device,
-                                         bool add) {
-  const std::uint32_t delta = add ? 1 : ~0u;
-  block_link_uses_[(p / kStride) * m_ + device] += delta;
-  total_link_uses_[device] += delta;
-}
-
-void IncrementalEvaluator::shift_move_uses(std::uint32_t node,
-                                           std::uint32_t from,
-                                           std::uint32_t to) {
-  // The committed records themselves are untouched; only the device ends of
-  // the moved node's own contributions change.
-  const FlatGraph& flat = eval_->flat_graph();
-  const std::size_t p0 = pos_[node];
-  if (!streamed_[p0]) {
-    bump_slot_use(p0, from, false);
-    bump_slot_use(p0, to, true);
-  }
-  for (std::uint32_t k = flat.in_begin(NodeId(node));
-       k < flat.in_end(NodeId(node)); ++k) {
-    if (!edge_xfer_[k]) continue;
-    bump_link_use(p0, from, false);
-    bump_link_use(p0, to, true);
-  }
-  for (std::uint32_t j = flat.out_begin(NodeId(node));
-       j < flat.out_end(NodeId(node)); ++j) {
-    const std::uint32_t k = out_in_slot_[j];
-    if (!edge_xfer_[k]) continue;
-    const std::size_t pw = pos_[flat.out_dst(j)];
-    bump_link_use(pw, from, false);
-    bump_link_use(pw, to, true);
-  }
+void IncrementalEvaluator::add_link_use(std::size_t p, std::uint32_t device) {
+  ++block_link_uses_[(p / kStride) * m_ + device];
+  ++total_link_uses_[device];
 }
 
 double IncrementalEvaluator::reset(const Mapping& mapping) {
@@ -212,11 +169,11 @@ void IncrementalEvaluator::record_suffix(std::size_t p0) {
   for (std::size_t p = c0 * kStride; p < p0; ++p) {
     const Evaluator::PlanNode pn = plan[p];
     const std::uint32_t d = mapping_.device[pn.node].v;
-    if (!streamed_[p]) bump_slot_use(p, d, true);
+    if (!streamed_[p]) add_slot_use(p, d);
     for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
       if (!edge_xfer_[k]) continue;
-      bump_link_use(p, mapping_.device[in_src_[k]].v, true);
-      bump_link_use(p, d, true);
+      add_link_use(p, mapping_.device[in_src_[k]].v);
+      add_link_use(p, d);
     }
   }
   reconstruct_cur_state(p0);
@@ -333,194 +290,6 @@ bool IncrementalEvaluator::can_stop(std::size_t p) const {
   return true;
 }
 
-void IncrementalEvaluator::patch_tail_checkpoints(std::size_t p,
-                                                  UndoFrame& frame) {
-  if (diff_device_count_ == 0) return;
-  // The diverged devices are unused from p to the end, so the new sweep's
-  // state for them is frozen at the current values — write those into every
-  // remaining checkpoint so later reconstructions see the new truth.
-  const std::size_t row = s_total_ + m_;
-  for (std::size_t c = (p + kStride - 1) / kStride; c < blocks_; ++c) {
-    double* ck = checkpoints_.data() + c * row;
-    for (const std::uint32_t dev : diff_list_) {
-      if (slot_differs_[dev]) {
-        for (std::size_t i = slot_offset_[dev]; i < slot_offset_[dev + 1];
-             ++i) {
-          if (ck[i] != cur_slot_[i]) {
-            frame.ck_cells.emplace_back(
-                static_cast<std::uint32_t>(c * row + i), ck[i]);
-            ck[i] = cur_slot_[i];
-          }
-        }
-      }
-      if (link_differs_[dev] && ck[s_total_ + dev] != cur_link_[dev]) {
-        frame.ck_cells.emplace_back(
-            static_cast<std::uint32_t>(c * row + s_total_ + dev),
-            ck[s_total_ + dev]);
-        ck[s_total_ + dev] = cur_link_[dev];
-      }
-    }
-  }
-}
-
-void IncrementalEvaluator::step(std::size_t p, UndoFrame& frame) {
-  const Evaluator::PlanNode pn = (*plan_)[p];
-  const std::uint32_t u = pn.node;
-  const std::uint32_t d = mapping_.device[u].v;
-
-  // ---- skip test: would a full sweep read exactly the committed values?
-  bool needs = u == moved_ || slot_differs_[d] != 0;
-  if (!needs) {
-    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-      const std::uint32_t s = in_src_[k];
-      if (timing_dirty_[s] != 0 || s == moved_) {
-        needs = true;
-        break;
-      }
-      if (edge_xfer_[k]) {
-        const std::uint32_t ds = mapping_.device[s].v;
-        if (link_differs_[ds] != 0 || link_differs_[d] != 0) {
-          needs = true;
-          break;
-        }
-      }
-    }
-  }
-
-  if (!needs) {
-    // Clean node: its times stand; replay its committed writes into both
-    // states. Every written entry compared equal before (the skip test),
-    // so no diff flag can change.
-    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-      if (!edge_xfer_[k]) continue;
-      const std::uint32_t ds = mapping_.device[in_src_[k]].v;
-      const double arrival = edge_arrival_[k];
-      base_link_[ds] = arrival;
-      base_link_[d] = arrival;
-      cur_link_[ds] = arrival;
-      cur_link_[d] = arrival;
-      ++seen_link_[ds];
-      ++seen_link_[d];
-    }
-    if (!streamed_[p]) {
-      const double fv = finish_[u];
-      pop_min_insert(base_slot_.data(), d, fv);
-      pop_min_insert(cur_slot_.data(), d, fv);
-      ++seen_slot_[d];
-    }
-    return;
-  }
-
-  ++last_recomputed_;
-  const double old_start = start_[u];
-  const double old_finish = finish_[u];
-  const std::uint32_t d_old = u == moved_ ? moved_old_dev_ : d;
-  const bool dev_fpga = is_fpga_[d] != 0;
-
-  // One fused pass per in-edge: replay the committed record into the base
-  // state, then recompute the edge against the cur state (the exact
-  // arithmetic of Evaluator::evaluate_plan). The two states are disjoint
-  // and each record is read (base side) before it is rewritten (cur side).
-  double ready = 0.0;
-  bool streamed_in = false;
-  for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-    const std::uint32_t s = in_src_[k];
-    const std::uint32_t ds = mapping_.device[s].v;
-    if (edge_xfer_[k]) {
-      const std::uint32_t ds_old = s == moved_ ? moved_old_dev_ : ds;
-      base_link_[ds_old] = edge_arrival_[k];
-      base_link_[d_old] = edge_arrival_[k];
-      touch_link_device(ds_old);
-      touch_link_device(d_old);
-    }
-    std::uint8_t new_xfer = 0;
-    double new_arrival = 0.0;
-    if (ds == d) {
-      if (dev_fpga) {
-        ready = std::max(ready, start_[s] + fill_[d] * exec_[s * m_ + d]);
-        streamed_in = true;
-      } else {
-        ready = std::max(ready, finish_[s]);
-      }
-    } else {
-      const std::size_t li = ds * m_ + d;
-      const double transfer = lat_[li] + in_mb1000_[k] / bw_[li];
-      const double t_start =
-          std::max({finish_[s], cur_link_[ds], cur_link_[d]});
-      new_arrival = t_start + transfer;
-      cur_link_[ds] = new_arrival;
-      cur_link_[d] = new_arrival;
-      ready = std::max(ready, new_arrival);
-      touch_link_device(ds);
-      touch_link_device(d);
-      new_xfer = 1;
-    }
-    if (new_xfer != edge_xfer_[k] ||
-        (new_xfer != 0 && new_arrival != edge_arrival_[k])) {
-      frame.edges.push_back({k, edge_xfer_[k], edge_arrival_[k]});
-      if (new_xfer != edge_xfer_[k]) {
-        // A flipped transfer flag moves this edge's link-use contribution.
-        const bool add = new_xfer != 0;
-        bump_link_use(p, ds, add);
-        bump_link_use(p, d, add);
-      }
-      edge_xfer_[k] = new_xfer;
-      edge_arrival_[k] = new_arrival;
-    }
-    if (edge_xfer_[k]) {
-      ++seen_link_[ds];
-      ++seen_link_[d];
-    }
-  }
-  if (!streamed_[p]) {
-    pop_min_insert(base_slot_.data(), d_old, old_finish);
-    touch_slot_device(d_old);
-  }
-  const double exec_v = exec_[pn.exec_offset + d];
-  double start_v;
-  if (streamed_in) {
-    start_v = ready;
-  } else {
-    start_v = std::max(ready, cur_slot_[slot_offset_[d]]);
-    pop_min_insert(cur_slot_.data(), d, start_v + exec_v);
-    touch_slot_device(d);
-    ++seen_slot_[d];
-  }
-  const std::uint8_t st = streamed_in ? 1 : 0;
-  if (st != streamed_[p]) {
-    frame.streams.push_back({static_cast<std::uint32_t>(p), streamed_[p]});
-    bump_slot_use(p, d, st == 0);  // slot use appears when streaming stops
-    streamed_[p] = st;
-  }
-  const double finish_v = start_v + exec_v;
-  if (start_v != old_start || finish_v != old_finish) {
-    frame.times.push_back({u, old_start, old_finish});
-    start_[u] = start_v;
-    finish_[u] = finish_v;
-    if (timing_dirty_[u] == 0) {
-      timing_dirty_[u] = 1;
-      dirty_list_.push_back(u);
-    }
-    limit_ = std::max(limit_, static_cast<std::size_t>(last_consumer_pos_[u]));
-  }
-
-  refresh_touched_diffs();
-}
-
-void IncrementalEvaluator::snapshot_checkpoint(std::size_t c,
-                                               UndoFrame& frame) {
-  double* ck = checkpoints_.data() + c * (s_total_ + m_);
-  const bool same =
-      std::equal(cur_slot_.begin(), cur_slot_.end(), ck) &&
-      std::equal(cur_link_.begin(), cur_link_.end(), ck + s_total_);
-  if (same) return;
-  frame.checkpoints.emplace_back(
-      static_cast<std::uint32_t>(c),
-      std::vector<double>(ck, ck + s_total_ + m_));
-  std::copy(cur_slot_.begin(), cur_slot_.end(), ck);
-  std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
-}
-
 void IncrementalEvaluator::update_area(std::uint32_t device, double delta) {
   const double budget = budget_[device];
   const bool was_over = area_used_[device] > budget;
@@ -539,11 +308,11 @@ void IncrementalEvaluator::move_area(UndoFrame& frame, NodeId node,
   if (!is_fpga_[from] && !is_fpga_[to]) return;
   const double area = eval_->cost().area(node);
   if (is_fpga_[from]) {
-    frame.areas.emplace_back(from, area_used_[from]);
+    frame.areas[frame.area_count++] = {from, area_used_[from]};
     update_area(from, -area);
   }
   if (is_fpga_[to]) {
-    frame.areas.emplace_back(to, area_used_[to]);
+    frame.areas[frame.area_count++] = {to, area_used_[to]};
     update_area(to, area);
   }
 }
@@ -552,14 +321,9 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   SPMAP_ASSERT(move.node.v < n_);
   SPMAP_ASSERT(move.device.v < m_);
   ++apply_count_;
-  // The spare frame's vectors keep their capacity across apply/commit
-  // pairs, so accept-heavy searches stay allocation-free as well.
-  spare_.reset_keep_capacity();
-  frames_.push_back(std::move(spare_));
-  UndoFrame& frame = frames_.back();
+  UndoFrame& frame = frames_.emplace_back();
   frame.node = move.node.v;
   frame.old_device = mapping_.device[move.node.v].v;
-  frame.old_makespan = makespan_value_;
   frame.old_over_budget = over_budget_count_;
   last_replayed_ = 0;
   last_recomputed_ = 0;
@@ -569,64 +333,9 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   mapping_.device[move.node.v] = move.device;
   move_area(frame, move.node, frame.old_device, move.device.v);
   const std::size_t p0 = pos_[move.node.v];
-  if (sweep_wins()) {
-    // Dense route: the probe rule says the suffix cascades, so re-record it
-    // with the plain sweep instead of paying skip detection and an undo log
-    // for nearly every position. Undo re-records the same suffix.
-    frame.dense = true;
-    record_suffix(p0);
-    last_replayed_ = n_ - p0;
-    last_recomputed_ = n_ - p0;
-    return makespan();
-  }
-  shift_move_uses(move.node.v, frame.old_device, move.device.v);
-  work_clean_ = std::min(work_clean_, p0);
-
-  moved_ = move.node.v;
-  moved_old_dev_ = frame.old_device;
-  reconstruct_state(p0);
-  limit_ = last_consumer_pos_[moved_];
-  double run_max = p0 == 0 ? 0.0 : prefix_max_[p0 - 1];
-
-  const Evaluator::WalkPlan& plan = *plan_;
-  std::size_t p = p0;
-  for (; p < n_; ++p) {
-    // Stop once nothing ahead can read any remaining divergence: the rest
-    // of the sweep reproduces its committed values verbatim.
-    if (can_stop(p)) break;
-    if (p % kStride == 0) snapshot_checkpoint(p / kStride, frame);
-    ++last_replayed_;
-    step(p, frame);
-    run_max = std::max(run_max, finish_[plan[p].node]);
-    if (prefix_max_[p] != run_max) {
-      frame.prefix.emplace_back(static_cast<std::uint32_t>(p), prefix_max_[p]);
-      prefix_max_[p] = run_max;
-    }
-  }
-  if (p < n_) patch_tail_checkpoints(p, frame);
-  // Early exit: the remaining times stand, but the running max still has to
-  // be folded forward until it rejoins the committed prefix-max curve.
-  for (; p < n_; ++p) {
-    const double folded = std::max(run_max, finish_[plan[p].node]);
-    if (folded == prefix_max_[p]) break;
-    frame.prefix.emplace_back(static_cast<std::uint32_t>(p), prefix_max_[p]);
-    prefix_max_[p] = folded;
-    run_max = folded;
-  }
-  makespan_value_ = n_ == 0 ? 0.0 : prefix_max_[n_ - 1];
-
-  // Clear the per-apply transient marks.
-  for (const std::uint32_t v : dirty_list_) timing_dirty_[v] = 0;
-  dirty_list_.clear();
-  for (const std::uint32_t dev : diff_list_) {
-    slot_differs_[dev] = 0;
-    link_differs_[dev] = 0;
-    diff_listed_[dev] = 0;
-  }
-  diff_list_.clear();
-  diff_device_count_ = 0;
-  moved_ = kNoDevice;
-
+  record_suffix(p0);
+  last_replayed_ = n_ - p0;
+  last_recomputed_ = n_ - p0;
   return makespan();
 }
 
@@ -635,8 +344,9 @@ void IncrementalEvaluator::probe_step(std::size_t p) {
   const std::uint32_t u = pn.node;
   const std::uint32_t d = mapping_.device[u].v;
 
-  // Skip test: identical to step(), with overlay-aware source times behind
-  // the timing_dirty_ flags (a flagged source has an overlay entry).
+  // Skip test: would a full sweep read exactly the committed values?
+  // Source times are overlay-aware behind the timing_dirty_ flags (a
+  // flagged source has an overlay entry).
   bool needs = u == moved_ || slot_differs_[d] != 0;
   if (!needs) {
     for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
@@ -691,8 +401,8 @@ void IncrementalEvaluator::probe_step(std::size_t p) {
       base_link_[d_old] = edge_arrival_[k];
       touch_link_device(ds_old);
       touch_link_device(d_old);
-      // Seen counting stays in committed-record convention (no
-      // shift_move_uses ran): the committed device ends of this edge.
+      // Seen counting follows the committed records, which still carry
+      // the old device of the moved node: the committed ends of this edge.
       ++seen_link_[ds_old];
       ++seen_link_[d_old];
     }
@@ -886,8 +596,8 @@ double IncrementalEvaluator::sweep_suffix(std::size_t p0, double run_max) {
         if constexpr (kRecord) {
           edge_xfer_[k] = 1;
           edge_arrival_[k] = arrival;
-          bump_link_use(p, ds, true);
-          bump_link_use(p, d, true);
+          add_link_use(p, ds);
+          add_link_use(p, d);
         }
       }
     }
@@ -906,7 +616,7 @@ double IncrementalEvaluator::sweep_suffix(std::size_t p0, double run_max) {
       std::size_t i = b;
       for (; i + 1 < e && slots[i + 1] < fin; ++i) slots[i] = slots[i + 1];
       slots[i] = fin;
-      if constexpr (kRecord) bump_slot_use(p, d, true);
+      if constexpr (kRecord) add_slot_use(p, d);
     }
     const double finish_v = start_v + exec_v;
     wstart[p] = start_v;
@@ -922,7 +632,7 @@ double IncrementalEvaluator::sweep_suffix(std::size_t p0, double run_max) {
   return run_max;
 }
 
-bool IncrementalEvaluator::sweep_wins() const {
+bool IncrementalEvaluator::choose_fallback() {
   switch (probe_mode_) {
     case ProbeMode::kForceIncremental: return false;
     case ProbeMode::kForceFallback: return true;
@@ -930,12 +640,7 @@ bool IncrementalEvaluator::sweep_wins() const {
   }
   // The sweep costs one unit per suffix position, so it wins exactly when
   // the incremental path's recent units exceed their suffix lengths.
-  return inc_units_sum_ > inc_suffix_sum_;
-}
-
-bool IncrementalEvaluator::choose_fallback() {
-  if (!sweep_wins()) return false;
-  if (probe_mode_ == ProbeMode::kForceFallback) return true;
+  if (inc_units_sum_ <= inc_suffix_sum_) return false;
   // Periodic incremental resample so the estimate follows the mapping.
   if (++probes_since_resample_ < kResampleEvery) return true;
   probes_since_resample_ = 0;
@@ -1022,10 +727,9 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     probe_step(p);
     run_max = std::max(run_max, eff_finish(plan[p].node));
   }
-  // Read-only fold: past the stop point every time is committed, so the
-  // probed makespan rejoins the committed prefix-max curve exactly as
-  // apply()'s fold would — once it matches, the committed tail maximum
-  // (prefix_max_[n-1]) finishes the job.
+  // Read-only fold: past the stop point every time is committed, so once
+  // the probed running max rejoins the committed prefix-max curve, the
+  // committed tail maximum (prefix_max_[n-1]) finishes the job.
   for (; p < n_; ++p) {
     const double folded = std::max(run_max, finish_[plan[p].node]);
     if (folded == prefix_max_[p]) {
@@ -1064,73 +768,18 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
 
 void IncrementalEvaluator::undo() {
   require(!frames_.empty(), "IncrementalEvaluator::undo: empty undo stack");
-  UndoFrame& frame = frames_.back();
-  makespan_value_ = frame.old_makespan;
-  over_budget_count_ = frame.old_over_budget;
-  if (!frame.noop && !frame.dense) {
-    // Reverse the step-level mutations first (the use-count bookkeeping of
-    // the records was done under the post-move mapping), then the move.
-    for (auto it = frame.times.rbegin(); it != frame.times.rend(); ++it) {
-      start_[it->node] = it->start;
-      finish_[it->node] = it->finish;
-    }
-    for (auto it = frame.streams.rbegin(); it != frame.streams.rend(); ++it) {
-      const std::uint32_t p = it->first;
-      bump_slot_use(p, mapping_.device[(*plan_)[p].node].v, it->second == 0);
-      streamed_[p] = it->second;
-    }
-    for (auto it = frame.edges.rbegin(); it != frame.edges.rend(); ++it) {
-      if (it->xfer != edge_xfer_[it->k]) {
-        const FlatGraph& flat = eval_->flat_graph();
-        std::uint32_t dst = 0;
-        // in-edge slot k belongs to the consumer whose span contains k; the
-        // consumer is recoverable from the flat graph's in_edge -> Dag edge.
-        const EdgeId e = flat.in_edge(it->k);
-        dst = eval_->cost().dag().dst(e).v;
-        const std::uint32_t src = eval_->cost().dag().src(e).v;
-        const bool add = it->xfer != 0;
-        bump_link_use(pos_[dst], mapping_.device[src].v, add);
-        bump_link_use(pos_[dst], mapping_.device[dst].v, add);
-      }
-      edge_xfer_[it->k] = it->xfer;
-      edge_arrival_[it->k] = it->arrival;
-    }
-    for (auto it = frame.prefix.rbegin(); it != frame.prefix.rend(); ++it) {
-      prefix_max_[it->first] = it->second;
-    }
-    for (auto it = frame.checkpoints.rbegin(); it != frame.checkpoints.rend();
-         ++it) {
-      std::copy(it->second.begin(), it->second.end(),
-                checkpoints_.data() + it->first * (s_total_ + m_));
-    }
-    for (auto it = frame.ck_cells.rbegin(); it != frame.ck_cells.rend();
-         ++it) {
-      checkpoints_[it->first] = it->second;
-    }
-    shift_move_uses(frame.node, mapping_.device[frame.node].v,
-                    frame.old_device);
-    work_clean_ = std::min<std::size_t>(work_clean_, pos_[frame.node]);
-  }
+  const UndoFrame& frame = frames_.back();
   if (!frame.noop) {
-    for (auto it = frame.areas.rbegin(); it != frame.areas.rend(); ++it) {
-      area_used_[it->first] = it->second;
+    for (std::uint32_t i = frame.area_count; i-- > 0;) {
+      area_used_[frame.areas[i].first] = frame.areas[i].second;
     }
+    over_budget_count_ = frame.old_over_budget;
     mapping_.device[frame.node] = DeviceId(frame.old_device);
-    // A dense frame logged no records: re-record them for the old mapping.
-    if (frame.dense) record_suffix(pos_[frame.node]);
+    record_suffix(pos_[frame.node]);
   }
-  // Recycle the frame's storage for the next apply (probe loops allocate
-  // nothing in steady state).
-  spare_ = std::move(frame);
-  spare_.reset_keep_capacity();
   frames_.pop_back();
 }
 
-void IncrementalEvaluator::commit() {
-  if (frames_.empty()) return;
-  // Keep the newest frame's storage for the next apply.
-  spare_ = std::move(frames_.back());
-  frames_.clear();
-}
+void IncrementalEvaluator::commit() { frames_.clear(); }
 
 }  // namespace spmap

@@ -8,14 +8,14 @@
 /// state of one schedule order resident — per-task start/finish times, the
 /// per-device execution-slot and link occupation state at checkpointed
 /// positions, and per-position replay records — so that
-/// `apply(TaskReassignment)` re-propagates finish times only from the first
+/// `probe(TaskReassignment)` re-propagates finish times only from the first
 /// affected position of the walk order, skipping every node whose inputs
 /// are untouched and terminating as soon as the perturbation has been
-/// absorbed (typically at the next series join of the graph). An undo stack
-/// records exactly the entries each apply changed, so a search can
-/// speculatively probe and roll back in O(affected suffix). Where
-/// perturbations cascade to the end anyway, apply takes a dense route that
-/// re-records the suffix instead (see "The hybrid probe").
+/// absorbed (typically at the next series join of the graph), without
+/// touching the committed state. `apply()` commits a move by re-recording
+/// the suffix from the move's position with the plain sweep; its undo frame
+/// holds only the move and the FPGA areas, and undo re-records the same
+/// suffix (see "The hybrid probe").
 ///
 /// ## Exactness
 ///
@@ -81,22 +81,19 @@
 /// (tests/property_incremental_test.cpp forces each and compares), so the
 /// mode only affects speed, never results.
 ///
-/// `apply()` takes the route the same rule picks, reading the sums without
-/// bumping any counter (so applies never change the probes' routes):
-///
-///  * **incremental** (kForceIncremental, or kAuto while Σunits <= Σsuffix)
-///    — the skip-detecting replay, logging every changed record in its
-///    undo frame;
-///  * **dense** (kForceFallback, or kAuto while Σunits > Σsuffix) — the
-///    plain sweep re-records the whole suffix from the move's position:
-///    times, transfer records, prefix max, later checkpoints and the use
-///    counts of the touched blocks. Its undo frame holds only the move and
-///    the FPGA areas; undo restores those and re-records the same suffix.
-///    `last_replayed()` is then the suffix length.
-///
-/// Every route leaves the committed records in the one canonical form a
-/// full recording sweep produces, so frames of both kinds stack and undo
-/// in any order.
+/// `apply()` has one route in every mode: the plain sweep re-records the
+/// whole suffix from the move's position — times, streamed flags, transfer
+/// records, prefix max, later checkpoints and the use counts of the
+/// touched blocks — exactly as a full recording sweep (`reset()`) would,
+/// so the committed records are always in their one canonical form.
+/// `last_replayed()` after an apply is the suffix length. A skip-detecting
+/// apply with a per-record undo log is cheaper for random moves that heal
+/// early (about 3x on `BM_IncrementalApplyWide`'s apply + undo pairs), but
+/// the searches apply only accepted moves and commit them, never undo, and
+/// accepted moves are the ones that reshape the schedule: on a
+/// hill-climbing accept stream over 16-wide layered DAGs on the many-core
+/// platform the re-recording apply was no slower, and the benchmark's
+/// search workloads ran within their run-to-run spread with either.
 ///
 /// ## Thread-safety
 ///
@@ -151,9 +148,9 @@ class IncrementalEvaluator {
   /// the undo stack. Returns `makespan()`.
   double reset(const Mapping& mapping);
 
-  /// Reassigns one task and re-propagates times from the first affected
-  /// position. Pushes one undo frame (a no-op move pushes an empty frame,
-  /// so apply/undo always pair). Returns `makespan()`.
+  /// Reassigns one task and re-records the schedule from its walk position
+  /// on. Pushes one undo frame (a no-op move pushes an empty frame, so
+  /// apply/undo always pair). Returns `makespan()`.
   double apply(TaskReassignment move);
 
   /// The makespan the move *would* produce, leaving the state untouched —
@@ -163,7 +160,8 @@ class IncrementalEvaluator {
   /// value is bit-identical to what apply() would return.
   double probe(TaskReassignment move);
 
-  /// Rolls back the most recent un-undone apply(). Requires `depth() > 0`.
+  /// Rolls back the most recent un-undone apply() by re-recording the
+  /// same suffix under the old mapping. Requires `depth() > 0`.
   void undo();
 
   /// Accepts all applied moves: clears the undo stack (state is kept).
@@ -201,16 +199,16 @@ class IncrementalEvaluator {
   /// probe() calls since the last reset().
   std::size_t probe_count() const { return probe_count_; }
 
-  /// Positions walked (skip-checked or recomputed) by the last apply() —
-  /// the size of the affected suffix actually visited; after a dense-route
-  /// apply (see "The hybrid probe"), the suffix length n - p0.
+  /// Positions walked (skip-checked or recomputed) by the last probe() or
+  /// apply() — the size of the affected suffix actually visited; after an
+  /// apply or a suffix-sweep probe, the suffix length n - p0.
   std::size_t last_replayed() const { return last_replayed_; }
-  /// Positions fully recomputed by the last apply().
+  /// Positions fully recomputed by the last probe() or apply().
   std::size_t last_recomputed() const { return last_recomputed_; }
 
-  /// Selects the probe and apply paths (see "The hybrid probe" above).
-  /// Results are bit-identical in every mode; forced modes exist for tests
-  /// and measurement.
+  /// Selects the probe path (see "The hybrid probe" above). Results are
+  /// bit-identical in every mode; forced modes exist for tests and
+  /// measurement.
   void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
   ProbeMode probe_mode() const { return probe_mode_; }
 
@@ -242,51 +240,16 @@ class IncrementalEvaluator {
   static constexpr std::size_t kResampleEvery = 64;
   static constexpr std::size_t kCostDecayEvery = 64;
 
+  /// What undo needs besides a re-record: the move, and the exact old area
+  /// sums (an incremental -/+ would not restore them bit for bit).
   struct UndoFrame {
     std::uint32_t node = 0;
     std::uint32_t old_device = 0;
-    double old_makespan = 0.0;
     int old_over_budget = 0;
     bool noop = true;
-    /// Applied by the dense route: only the move and the areas are logged,
-    /// and undo re-records the suffix instead of replaying a log.
-    bool dense = false;
-    /// Old start/finish of every node whose times changed.
-    struct TimeRec {
-      std::uint32_t node;
-      double start, finish;
-    };
-    std::vector<TimeRec> times;
-    /// Old streamed flag of every position whose flag flipped.
-    std::vector<std::pair<std::uint32_t, std::uint8_t>> streams;
-    /// Old transfer record of every in-edge slot whose record changed.
-    struct EdgeRec {
-      std::uint32_t k;
-      std::uint8_t xfer;
-      double arrival;
-    };
-    std::vector<EdgeRec> edges;
-    /// Old prefix-max entries.
-    std::vector<std::pair<std::uint32_t, double>> prefix;
-    /// Old checkpoint blocks (index, S + D doubles).
-    std::vector<std::pair<std::uint32_t, std::vector<double>>> checkpoints;
-    /// Old single checkpoint cells (flat index into checkpoints_) — the
-    /// frozen-device spans patched on an early exit with lingering diffs.
-    std::vector<std::pair<std::uint32_t, double>> ck_cells;
-    /// Old FPGA area sums of the touched devices.
-    std::vector<std::pair<std::uint32_t, double>> areas;
-
-    void reset_keep_capacity() {
-      noop = true;
-      dense = false;
-      times.clear();
-      streams.clear();
-      edges.clear();
-      prefix.clear();
-      checkpoints.clear();
-      ck_cells.clear();
-      areas.clear();
-    }
+    /// Old FPGA area sums of the touched devices (the move's two ends).
+    std::pair<std::uint32_t, double> areas[2];
+    std::uint32_t area_count = 0;
   };
 
   /// Re-records the committed state from position `p0` on for the current
@@ -309,11 +272,9 @@ class IncrementalEvaluator {
   /// position `p0` into base_*, then copies it to cur_* and seeds the
   /// seen-use counters for the prefix.
   void reconstruct_state(std::size_t p0);
-  /// Processes position `p` during an apply: skip if clean, else recompute.
-  void step(std::size_t p, UndoFrame& frame);
-  /// The trace-free twin of step() for probe(): identical reads and
-  /// arithmetic, but recomputed times land in the probe overlay and the
-  /// committed records stay untouched.
+  /// Processes position `p` during an incremental probe: skip if every
+  /// input equals what a full sweep would read, else recompute into the
+  /// probe overlay. The committed records stay untouched.
   void probe_step(std::size_t p);
   /// Dense-cascade fallback of probe(): recomputes every position from `p`
   /// to the end against the cur state only — no skip detection, no base
@@ -326,12 +287,7 @@ class IncrementalEvaluator {
   /// suffix sweeps (probe and record_suffix) need no base state and no
   /// seen-use counters, so this is the slim sibling of reconstruct_state().
   void reconstruct_cur_state(std::size_t p0);
-  /// True while the mode sends suffix work to the plain sweep: always in
-  /// kForceFallback, never in kForceIncremental, and in kAuto while the
-  /// priced incremental probes cost more than their suffixes. apply() reads
-  /// it as is; probe() adds the periodic resample (choose_fallback).
-  bool sweep_wins() const;
-  /// Auto-mode routing for one probe: true to take the suffix-sweep path.
+  /// Routing for one probe: true to take the suffix-sweep path.
   bool choose_fallback();
   /// Effective (overlay-aware) times during a probe.
   double eff_start(std::uint32_t node) const {
@@ -342,24 +298,16 @@ class IncrementalEvaluator {
     return probe_tag_[node] == probe_epoch_ ? probe_finish_[node]
                                             : finish_[node];
   }
-  void snapshot_checkpoint(std::size_t c, UndoFrame& frame);
   /// True once no unvisited position can read any remaining divergent
   /// state: past `limit_`, and every device with a lingering slot/link diff
   /// has zero remaining uses of that state.
   bool can_stop(std::size_t p) const;
-  /// Freezes the lingering divergent device spans into all checkpoints at
-  /// positions >= p (their state cannot change again — the devices are
-  /// unused from p on), recording old cells for undo.
-  void patch_tail_checkpoints(std::size_t p, UndoFrame& frame);
   void move_area(UndoFrame& frame, NodeId node, std::uint32_t from,
                  std::uint32_t to);
   void update_area(std::uint32_t device, double delta);
-  /// Adjusts the committed use counts (see block_*_uses_) by +/-1.
-  void bump_slot_use(std::size_t p, std::uint32_t device, bool add);
-  void bump_link_use(std::size_t p, std::uint32_t device, bool add);
-  /// Use-count bookkeeping for remapping `node` from `from` to `to`.
-  void shift_move_uses(std::uint32_t node, std::uint32_t from,
-                       std::uint32_t to);
+  /// Counts one committed use (see block_*_uses_).
+  void add_slot_use(std::size_t p, std::uint32_t device);
+  void add_link_use(std::size_t p, std::uint32_t device);
   /// Pops the device's minimum slot-ready time and inserts `value`,
   /// keeping the span sorted — the canonical form of the full sweep's
   /// "earliest-ready slot" pick + overwrite (value-identical; see header).
@@ -386,7 +334,6 @@ class IncrementalEvaluator {
   const std::size_t* slot_offset_ = nullptr;
   std::vector<std::uint32_t> pos_;                // node -> walk position
   std::vector<std::uint32_t> last_consumer_pos_;  // node -> max consumer pos
-  std::vector<std::uint32_t> out_in_slot_;  // out-CSR index -> in-edge slot
   std::vector<std::uint32_t> in_src_pos_;   // in-edge slot -> source position
   std::vector<double> budget_;                    // per device (FPGAs)
   double area_eps_ = 0.0;
@@ -449,8 +396,8 @@ class IncrementalEvaluator {
   std::uint32_t probe_epoch_ = 0;
   /// Position-indexed times of sweep_suffix. Positions below work_clean_
   /// hold the committed times; a sweep from p0 leaves its own from p0 on
-  /// (the committed ones when recording). Committed changes from p0 on
-  /// lower the watermark to p0.
+  /// (the committed ones when recording, which is the only way committed
+  /// times change).
   std::vector<double> work_start_, work_finish_;
   std::size_t work_clean_ = 0;
   std::uint32_t moved_ = kNoDevice;
@@ -458,9 +405,6 @@ class IncrementalEvaluator {
   std::size_t limit_ = 0;
 
   std::vector<UndoFrame> frames_;
-  /// Recycled frame (undo and commit hand theirs back): probe and accept
-  /// loops stay allocation-free.
-  UndoFrame spare_;
 };
 
 }  // namespace spmap

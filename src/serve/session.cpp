@@ -33,26 +33,21 @@ double number_field(const Json& body, const char* key, double fallback) {
   return v.as_double();
 }
 
-/// A non-negative integer field that to_json(WireSubmit) can echo into
-/// the journal exactly: at most 2^53, where Json's integers stop being
-/// exact doubles.
-std::uint64_t wire_integer(const Json& body, const char* key) {
-  const Json& v = body.at(key);
-  require(v.is_number() && v.as_double() >= 0.0 &&
-              v.as_double() <= static_cast<double>(Json::kMaxExactInteger),
-          std::string("\"") + key + "\" must be a number in [0, 2^53]");
-  return static_cast<std::uint64_t>(v.as_int());
-}
-
 std::size_t count_field(const Json& body, const char* key,
                         std::size_t fallback) {
   if (!body.contains(key)) return fallback;
-  return static_cast<std::size_t>(wire_integer(body, key));
+  const Json& v = body.at(key);
+  require(v.is_number() && v.as_double() >= 0.0,
+          std::string("\"") + key + "\" must be a non-negative number");
+  return static_cast<std::size_t>(v.as_int());
 }
 
 std::optional<std::uint64_t> seed_field(const Json& body, const char* key) {
   if (!body.contains(key)) return std::nullopt;
-  return wire_integer(body, key);
+  const Json& v = body.at(key);
+  require(v.is_number() && v.as_double() >= 0.0,
+          std::string("\"") + key + "\" must be a non-negative number");
+  return static_cast<std::uint64_t>(v.as_int());
 }
 
 bool bool_field(const Json& body, const char* key, bool fallback) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace spmap {
 
@@ -12,6 +13,22 @@ namespace {
 
 bool is_flag(const std::string& arg) {
   return arg.size() > 2 && arg[0] == '-' && arg[1] == '-';
+}
+
+/// An integer flag value, held to Json::as_int's bound so that a tool can
+/// write every value it reads (a seed, say) into its JSON report exactly.
+std::int64_t parse_int(const std::string& name, const std::string& text) {
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(text);
+  } catch (const std::exception&) {
+    throw Error("flag --" + name + " expects an integer, got: " + text);
+  }
+  constexpr auto kMax = static_cast<std::int64_t>(Json::kMaxExactInteger);
+  require(value >= -kMax && value <= kMax,
+          "flag --" + name + " must be at most 2^53 in magnitude, got: " +
+              text);
+  return value;
 }
 
 }  // namespace
@@ -61,11 +78,7 @@ std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects an integer, got: " + it->second);
-  }
+  return parse_int(name, it->second);
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
@@ -96,11 +109,7 @@ std::vector<std::int64_t> Flags::get_int_list(
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (const std::exception&) {
-      throw Error("flag --" + name + " expects integers, got: " + item);
-    }
+    out.push_back(parse_int(name, item));
   }
   return out;
 }

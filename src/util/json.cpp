@@ -23,9 +23,11 @@ double Json::as_double() const {
 std::int64_t Json::as_int() const {
   const double d = as_double();
   require(std::nearbyint(d) == d, "Json: number is not integral");
-  // [-2^63, 2^63) is exactly the set of doubles the cast is defined for.
-  require(d >= -0x1p63 && d < 0x1p63,
-          "Json: integer is outside the 64-bit range");
+  // The same bound the integer constructors enforce: every integer a
+  // reader accepts can be written back exactly.
+  constexpr double kMax = static_cast<double>(kMaxExactInteger);
+  require(d >= -kMax && d <= kMax,
+          "Json: integer is larger than 2^53 in magnitude");
   return static_cast<std::int64_t>(d);
 }
 

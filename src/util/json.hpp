@@ -54,7 +54,8 @@ class Json {
   bool as_bool() const;
   double as_double() const;
   /// The number as an integer; throws spmap::Error unless it is integral
-  /// and inside [-2^63, 2^63).
+  /// and at most kMaxExactInteger in magnitude, the range the integer
+  /// constructors can write back exactly.
   std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;

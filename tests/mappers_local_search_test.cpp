@@ -3,12 +3,12 @@
 /// (`scenarios/platforms/paper_cpu_gpu_fpga.json`), and each predicted
 /// makespan and a content hash of each mapping must match the pinned
 /// values exactly. With n > 512 on this saturated platform the
-/// IncrementalEvaluator sends most probes down the suffix sweep and every
-/// accepted move down the dense apply route (148 of them across the three
-/// searches), so a route change that alters any search result fails here,
-/// not only in the end-to-end benchmark.
+/// IncrementalEvaluator sends most probes down the suffix sweep, and every
+/// accepted move (148 across the three searches) re-records the suffix, so
+/// a change to either that alters any search result fails here, not only
+/// in the end-to-end benchmark.
 ///
-/// The pins were captured before the dense apply route existed; they may
+/// The pins were captured before apply re-recorded the suffix; they may
 /// only change with a deliberate change of the searches themselves.
 
 #include <gtest/gtest.h>

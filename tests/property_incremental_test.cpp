@@ -10,10 +10,10 @@
 /// and every hybrid probe mode: kAuto (the deterministic position-count
 /// rule), kForceIncremental and kForceFallback. Agreement in the forced
 /// modes proves each probe path is bit-identical on its own, not just
-/// whichever one the rule happens to pick. Applies follow the same rule
-/// (logged replay or dense re-record); a mixed-route test stacks both kinds
-/// of undo frame and checks that unwinding them restores the canonical
-/// records. The routing tests at the end pin the rule itself: the same
+/// whichever one the rule happens to pick. Applies and undos re-record the
+/// suffix; a canonical-records test checks that they leave the use counts
+/// and checkpoints exactly as a fresh reset would. The routing tests at the
+/// end pin the rule itself: the same
 /// probe stream takes the same route on every engine, and the auto-mode
 /// grid exercises both paths on each platform.
 
@@ -206,16 +206,31 @@ TEST_P(IncrementalProperty, CommitKeepsStateAndClearsHistory) {
 constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
 constexpr ProbeMode kFb = ProbeMode::kForceFallback;
 
-TEST_P(IncrementalProperty, MixedApplyRoutesUndoToCanonicalState) {
-  // Switching the mode from one apply to the next stacks dense frames
-  // (kForceFallback: the suffix is re-recorded) both under and over logged
-  // frames (kForceIncremental: the changed records are logged).
+TEST_P(IncrementalProperty, ApplyAndUndoLeaveCanonicalRecords) {
+  // Times alone do not show that the re-recorded use counts and
+  // checkpoints are canonical; the skip-detecting probe reads both (its
+  // early exit and its state reconstruction), so after every apply and
+  // undo it must walk exactly as it does on a freshly reset engine.
   IncrementalEvaluator inc(*eval_);
+  inc.set_probe_mode(kInc);
   const Mapping initial = random_feasible_mapping(*cost_, rng_);
   inc.reset(initial);
   std::vector<Mapping> history{initial};
+  Rng probe_rng(GetParam().seed + 1000);
+  const auto expect_canonical = [&] {
+    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, history.back()));
+    IncrementalEvaluator fresh(*eval_);
+    fresh.set_probe_mode(kInc);
+    fresh.reset(history.back());
+    for (std::size_t i = 0; i < 8; ++i) {
+      const TaskReassignment move = random_reassignment(
+          history.back(), platform_.device_count(), probe_rng);
+      ASSERT_EQ(inc.probe(move), fresh.probe(move));
+      ASSERT_EQ(inc.last_replayed(), fresh.last_replayed());
+      ASSERT_EQ(inc.last_recomputed(), fresh.last_recomputed());
+    }
+  };
   for (std::size_t i = 0; i < GetParam().moves; ++i) {
-    inc.set_probe_mode(rng_.chance(0.5) ? kFb : kInc);
     if (inc.depth() > 0 && rng_.chance(0.2)) {
       inc.undo();
       history.pop_back();
@@ -228,31 +243,14 @@ TEST_P(IncrementalProperty, MixedApplyRoutesUndoToCanonicalState) {
       next[node] = device;
       history.push_back(std::move(next));
     }
-    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, history.back()));
+    ASSERT_NO_FATAL_FAILURE(expect_canonical());
   }
   while (inc.depth() > 0) {
     inc.undo();
     history.pop_back();
-    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, history.back()));
+    ASSERT_NO_FATAL_FAILURE(expect_canonical());
   }
   ASSERT_EQ(history.size(), 1u);
-
-  // Times alone do not show that the use counts and checkpoints came back
-  // canonical; the skip-detecting probe reads both (its early exit and its
-  // state reconstruction), so it must walk exactly like it does on a
-  // freshly reset engine.
-  IncrementalEvaluator fresh(*eval_);
-  fresh.reset(initial);
-  inc.set_probe_mode(kInc);
-  fresh.set_probe_mode(kInc);
-  Rng probe_rng(GetParam().seed + 1000);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const TaskReassignment move =
-        random_reassignment(initial, platform_.device_count(), probe_rng);
-    EXPECT_EQ(inc.probe(move), fresh.probe(move));
-    EXPECT_EQ(inc.last_replayed(), fresh.last_replayed());
-    EXPECT_EQ(inc.last_recomputed(), fresh.last_recomputed());
-  }
 }
 
 const IncCase kGrid[] = {

@@ -79,6 +79,18 @@ TEST(WorkloadSpec, BadValuesThrow) {
                Error);  // file kinds need a path
 }
 
+TEST(WorkloadSpec, SeedAbove2Pow53FailsAtLoad) {
+  // workload_to_json could not write it back exactly, so it is refused
+  // before any work is done.
+  EXPECT_THROW(workload_from_json(Json::parse(R"({"type": "sp",
+      "seed": 9007199254740994})")),
+               Error);
+  const WorkloadSpec largest = workload_from_json(Json::parse(R"({"type": "sp",
+      "seed": 9007199254740992})"));
+  EXPECT_EQ(largest.seed, std::uint64_t{1} << 53);
+  EXPECT_EQ(workload_from_json(workload_to_json(largest)).seed, largest.seed);
+}
+
 TEST(WorkloadSpec, SweepParameterValidation) {
   WorkloadSpec sp = workload_from_json(Json::parse(R"({"type": "sp"})"));
   apply_sweep_value(sp, "tasks", 64);
@@ -141,6 +153,16 @@ TEST(Scenario, UnknownKeyAndMissingPiecesThrow) {
   Json no_mappers = small_scenario_doc();
   no_mappers.set("mappers", Json::array());
   EXPECT_THROW(scenario_from_json(no_mappers), Error);
+}
+
+TEST(Scenario, SeedAbove2Pow53FailsAtLoad) {
+  // scenario_to_json (and the results file) could not write it back
+  // exactly, so it is refused before the sweep runs.
+  for (const char* seed : {"9007199254740994", "1e17"}) {
+    Json doc = small_scenario_doc();
+    doc.set("seed", Json::parse(seed));
+    EXPECT_THROW(scenario_from_json(doc), Error) << seed;
+  }
 }
 
 TEST(Scenario, MapperTypoFailsAtParseTime) {

@@ -352,12 +352,11 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
       {"class_not_string", submit_line(",\"class\":3")},
       {"negative_deadline", submit_line(",\"deadline_ms\":-1")},
       {"negative_seed", submit_line(",\"seed\":-4")},
-      // Past 2^63 the integer conversion would be undefined behaviour.
+      // Past 2^53 a JSON number no longer holds every integer exactly.
       {"huge_seed", submit_line(",\"seed\":1e300")},
       {"huge_construction_seed",
        submit_line(",\"construction_seed\":1e300")},
       {"huge_max_evals", submit_line(",\"max_evals\":1e300")},
-      // Above 2^53 the journal echo (to_json) could not encode it exactly.
       {"seed_above_2p53", submit_line(",\"seed\":9007199254740994")},
       {"construction_seed_above_2p53",
        submit_line(",\"construction_seed\":9007199254740994")},
@@ -466,6 +465,27 @@ TEST(SessionJobs, OutOfRangeJobIdIsABadRequest) {
       answer(session, "{\"op\":\"status\",\"job\":1e300}");
   EXPECT_EQ(error_code(response), "bad_request");
   EXPECT_EQ(session.state(), SessionState::kActive);
+}
+
+TEST(SessionJobs, JobIdAbove2Pow53IsABadRequest) {
+  // Such an id could not be echoed back exactly in an unknown_job answer.
+  FakeHost host;
+  Session session(1, host);
+  answer(session, hello_line());
+  for (const char* op : {"status", "cancel", "subscribe"}) {
+    for (const char* id : {"9007199254740994", "1e17"}) {
+      const Json response = answer(
+          session, std::string("{\"op\":\"") + op + "\",\"job\":" + id + "}");
+      EXPECT_EQ(error_code(response), "bad_request") << op << " " << id;
+      EXPECT_EQ(session.state(), SessionState::kActive) << op << " " << id;
+    }
+  }
+  // The largest exact id is still looked up, and the session still works.
+  const Json largest =
+      answer(session, "{\"op\":\"status\",\"job\":9007199254740992}");
+  EXPECT_EQ(error_code(largest), "unknown_job");
+  EXPECT_EQ(largest.at("job").as_int(), std::int64_t{1} << 53);
+  EXPECT_TRUE(answer(session, submit_line()).at("ok").as_bool());
 }
 
 // ---- drain -----------------------------------------------------------------

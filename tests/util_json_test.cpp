@@ -33,12 +33,18 @@ TEST(Json, TypeErrorsThrow) {
 }
 
 TEST(Json, AsIntRejectsOutOfRange) {
-  // [-2^63, 2^63) is where the conversion to int64_t is defined; outside
-  // it the cast would be undefined behaviour, so as_int refuses.
-  EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
-            std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(Json(0x1p62).as_int(), std::int64_t{1} << 62);
+  // Readers accept exactly what the integer constructors can write back:
+  // integers of magnitude at most 2^53.
+  constexpr std::int64_t kMax = std::int64_t{1} << 53;
+  EXPECT_EQ(Json(0x1p53).as_int(), kMax);
+  EXPECT_EQ(Json(-0x1p53).as_int(), -kMax);
+  EXPECT_EQ(Json::parse("9007199254740992").as_int(), kMax);
+  EXPECT_EQ(Json::parse("-9007199254740992").as_int(), -kMax);
+  EXPECT_THROW(Json::parse("9007199254740994").as_int(), Error);
+  EXPECT_THROW(Json::parse("-9007199254740994").as_int(), Error);
+  EXPECT_THROW(Json::parse("1e17").as_int(), Error);
+  EXPECT_THROW(Json(0x1p62).as_int(), Error);
+  EXPECT_THROW(Json(-0x1p63).as_int(), Error);
   EXPECT_THROW(Json(0x1p63).as_int(), Error);
   EXPECT_THROW(Json::parse("9223372036854775808").as_int(), Error);
   EXPECT_THROW(Json(1e300).as_int(), Error);

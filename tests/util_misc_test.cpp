@@ -49,6 +49,16 @@ TEST(Flags, BadIntThrows) {
   EXPECT_THROW(f.get_int("seed", 0), Error);
 }
 
+TEST(Flags, IntAbove2Pow53Throws) {
+  // A value a JSON report could not hold exactly is refused when read.
+  const auto f = make_flags({"--seed=9007199254740993", "--max=9007199254740992",
+                             "--sizes=1,-9007199254740994"},
+                            {"seed", "max", "sizes"});
+  EXPECT_THROW(f.get_int("seed", 0), Error);
+  EXPECT_EQ(f.get_int("max", 0), std::int64_t{1} << 53);
+  EXPECT_THROW(f.get_int_list("sizes", {}), Error);
+}
+
 TEST(Flags, IntList) {
   const auto f = make_flags({"--sizes=5,10,15"}, {"sizes"});
   const auto v = f.get_int_list("sizes", {});
